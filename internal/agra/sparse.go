@@ -31,10 +31,7 @@ func (pr Params) sparseShards() int {
 // adapts the result into the AGRA result shape.
 func adaptSparse(in Input, params Params, run solver.Run) (*Result, error) {
 	p := in.Problem
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return nil, fmt.Errorf("agra: sparse conversion: %w", err)
-	}
+	mo := sparse.FromProblem(p)
 	a, err := sparse.FromScheme(mo, in.Current)
 	if err != nil {
 		return nil, fmt.Errorf("agra: current scheme: %w", err)

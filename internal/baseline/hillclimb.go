@@ -89,7 +89,7 @@ func HillClimbWith(p *core.Problem, start *core.Scheme, maxMoves int, run solver
 		res.Moves++
 		c.Observe(res.Moves, 0, 0, 0)
 	}
-	res.Scheme = d.Scheme()
+	res.Scheme = scheme
 	res.Stats = c.Finish(res.Moves, stop)
 	return res
 }

@@ -34,7 +34,7 @@ func (p *Problem) Encode(w io.Writer) error {
 		Objects:    p.n,
 		Sizes:      p.size,
 		Capacities: p.cap,
-		Primaries:  p.primary,
+		Primaries:  p.primaries(),
 		Reads:      p.ReadMatrix(),
 		Writes:     p.WriteMatrix(),
 		Dist:       dist,
@@ -82,9 +82,6 @@ func ReadProblem(r io.Reader) (*Problem, error) {
 			}
 		}
 	}
-	if err := dm.Validate(); err != nil {
-		return nil, err
-	}
 	return NewProblem(Config{
 		Sizes:      pj.Sizes,
 		Capacities: pj.Capacities,
@@ -124,7 +121,7 @@ func ReadScheme(p *Problem, r io.Reader) (*Scheme, error) {
 			if i < 0 || i >= p.m {
 				return nil, fmt.Errorf("core: object %d replicated at out-of-range site %d", k, i)
 			}
-			if i == p.primary[k] {
+			if i == p.Primary(k) {
 				continue // already placed by NewScheme
 			}
 			if err := s.Add(i, k); err != nil {

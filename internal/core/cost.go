@@ -21,43 +21,106 @@ import (
 // primary, which keeps eq. 4 consistent with eqs. 1–2 (the broadcast
 // excludes the writer itself).
 //
-// Because link costs are positive, min_j C(i,j) over the replicators is zero
-// exactly when i is itself a replicator, which lets the evaluator branch on
-// the computed minimum instead of probing the bit matrix per (i,k) pair.
+// D decomposes as Σ_k V_k, and Instance.objectTerms is the one function
+// that computes V_k: the full evaluator, the delta evaluator, the pool,
+// Scheme.CostTerms and the sparse solver's evaluators all call it.
 
-// Evaluator computes D for raw site-major bit matrices (GA chromosomes)
-// while reusing internal buffers. It is not safe for concurrent use; create
-// one per goroutine.
+// objectTerms returns V_k split into eq. 4's three terms for the replica
+// set repl, which must list distinct sites in ascending order. It touches
+// only the replicators (for the update fan-in) and object k's CSR entries
+// (for the non-replicator terms) — O(|R_k| + nnz_k·|R_k|) — because sites
+// with no traffic contribute nothing. An empty repl is priced as the
+// primaries-only placement.
+func (in *Instance) objectTerms(k int, repl []int32) CostTerms {
+	if len(repl) == 0 {
+		repl = in.primary[k : k+1]
+	}
+	ok := in.size[k]
+	wTot := in.totalWrites[k]
+	spRow := in.dist.Row(int(in.primary[k]))
+	var t CostTerms
+	// Update fan-in: every replicator receives each update from the primary
+	// (its own updates ship to the primary via the x=i term).
+	for _, i := range repl {
+		t.UpdateNTC += wTot * ok * spRow[i]
+	}
+	// Non-replicator reads go to the nearest replica; non-replicator writes
+	// ship to the primary. Entry sites and repl both ascend, so one forward
+	// cursor per list finds the replicators without searching repl for
+	// every entry.
+	rs, rc := in.ReadEntries(k)
+	r := 0
+	for idx, j := range rs {
+		for r < len(repl) && repl[r] < j {
+			r++
+		}
+		if r < len(repl) && repl[r] == j {
+			continue
+		}
+		row := in.dist.Row(int(j))
+		dmin := row[repl[0]]
+		for _, x := range repl[1:] {
+			if d := row[x]; d < dmin {
+				dmin = d
+			}
+		}
+		t.ReadNTC += rc[idx] * ok * dmin
+	}
+	ws, wc := in.WriteEntries(k)
+	r = 0
+	for idx, j := range ws {
+		for r < len(repl) && repl[r] < j {
+			r++
+		}
+		if r < len(repl) && repl[r] == j {
+			continue
+		}
+		t.WriteNTC += wc[idx] * ok * spRow[j]
+	}
+	return t
+}
+
+// SearchSites locates site in an ascending site list: the insertion index
+// and whether the site is present. Replica and candidate lists are short,
+// so a linear scan that stops at the first larger site beats binary search.
+func SearchSites(list []int32, site int32) (int, bool) {
+	for idx, s := range list {
+		if s >= site {
+			return idx, s == site
+		}
+	}
+	return len(list), false
+}
+
+// Evaluator computes D for raw site-major bit matrices (GA chromosomes) or
+// per-object replica lists while reusing internal buffers. It is not safe
+// for concurrent use; create one per goroutine (EvalPool does).
 type Evaluator struct {
-	p *Problem
-	// replicators[k] is scratch for the replica list of object k.
+	in *Instance
+	// replicators[k] is scratch for the replica list of object k, allocated
+	// on the first bit-matrix evaluation.
 	replicators [][]int32
-	// meter, when set, is incremented once per Cost/ObjectCost call — the
-	// solver runtime's central evaluation counter for budget accounting.
+	// meter, when set, is incremented once per Cost/CostLists/ObjectCost
+	// call — the solver runtime's central evaluation counter for budget
+	// accounting.
 	meter *atomic.Int64
 }
 
 // NewEvaluator returns an evaluator for p.
-func NewEvaluator(p *Problem) *Evaluator {
-	return &Evaluator{
-		p:           p,
-		replicators: make([][]int32, p.n),
-	}
-}
+func NewEvaluator(p *Problem) *Evaluator { return NewInstanceEvaluator(p.Instance) }
 
-// SetMeter attaches an evaluation counter: every subsequent Cost and
-// ObjectCost call adds one to it. The counter may be shared across
-// evaluators (and goroutines); nil detaches.
+// NewInstanceEvaluator returns an evaluator for any instance — a dense
+// Problem's or the sparse solver's.
+func NewInstanceEvaluator(in *Instance) *Evaluator { return &Evaluator{in: in} }
+
+// SetMeter attaches an evaluation counter: every subsequent Cost,
+// CostLists and ObjectCost call adds one to it. The counter may be shared
+// across evaluators (and goroutines); nil detaches.
 func (e *Evaluator) SetMeter(meter *atomic.Int64) { e.meter = meter }
 
-// gather buckets the set bits of x into per-object replicator lists.
-func (e *Evaluator) gather(x *bitset.Set) {
-	n := e.p.n
-	for k := range e.replicators {
-		e.replicators[k] = e.replicators[k][:0]
-	}
-	for pos := x.NextSet(0); pos >= 0; pos = x.NextSet(pos + 1) {
-		e.replicators[pos%n] = append(e.replicators[pos%n], int32(pos/n))
+func (e *Evaluator) count() {
+	if e.meter != nil {
+		e.meter.Add(1)
 	}
 }
 
@@ -66,58 +129,37 @@ func (e *Evaluator) gather(x *bitset.Set) {
 // if only the primary existed (the GA repairs such chromosomes separately);
 // in well-formed schemes the primary bit is always present.
 func (e *Evaluator) Cost(x *bitset.Set) int64 {
-	if e.meter != nil {
-		e.meter.Add(1)
+	n := e.in.n
+	if e.replicators == nil {
+		e.replicators = make([][]int32, n)
 	}
-	e.gather(x)
+	for k := range e.replicators {
+		e.replicators[k] = e.replicators[k][:0]
+	}
+	// Site-major traversal appends sites in ascending order.
+	for pos := x.NextSet(0); pos >= 0; pos = x.NextSet(pos + 1) {
+		e.replicators[pos%n] = append(e.replicators[pos%n], int32(pos/n))
+	}
+	return e.CostLists(e.replicators)
+}
+
+// CostLists returns D for per-object replica lists: lists[k] holds object
+// k's replica sites, ascending.
+func (e *Evaluator) CostLists(lists [][]int32) int64 {
+	e.count()
 	var total int64
-	for k := 0; k < e.p.n; k++ {
-		total += e.objectCost(k, e.replicators[k])
+	for k, repl := range lists {
+		total += e.in.objectTerms(k, repl).Total()
 	}
 	return total
 }
 
 // ObjectCost returns V_k, the NTC attributable to object k, for the
-// replicator set given as site indices. Used by AGRA, whose chromosomes
-// describe a single object's replication scheme.
+// replicator set given as ascending site indices. Used by AGRA, whose
+// chromosomes describe a single object's replication scheme.
 func (e *Evaluator) ObjectCost(k int, replicators []int32) int64 {
-	if e.meter != nil {
-		e.meter.Add(1)
-	}
-	return e.objectCost(k, replicators)
-}
-
-func (e *Evaluator) objectCost(k int, repl []int32) int64 {
-	p := e.p
-	sp := p.primary[k]
-	ok := p.size[k]
-	wTot := p.totalWrites[k]
-	if len(repl) == 0 {
-		// Treat as primaries-only (degenerate input).
-		return p.vPrime[k]
-	}
-	spRow := p.dist.Row(sp)
-	var total int64
-	for i := 0; i < p.m; i++ {
-		row := p.dist.Row(i)
-		dmin := row[repl[0]]
-		for _, j := range repl[1:] {
-			if d := row[j]; d < dmin {
-				dmin = d
-				if d == 0 {
-					break
-				}
-			}
-		}
-		if dmin == 0 {
-			// i is a replicator: it receives every update from the primary
-			// (its own updates ship to the primary via the x=i term).
-			total += wTot * ok * spRow[i]
-		} else {
-			total += p.reads[i*p.n+k]*ok*dmin + p.writes[i*p.n+k]*ok*spRow[i]
-		}
-	}
-	return total
+	e.count()
+	return e.in.objectTerms(k, replicators).Total()
 }
 
 // Cost returns the exact NTC (eq. 4) of the scheme.
@@ -127,14 +169,8 @@ func (s *Scheme) Cost() int64 {
 
 // ObjectCost returns V_k for object k under this scheme.
 func (s *Scheme) ObjectCost(k int) int64 {
-	e := NewEvaluator(s.p)
-	repl := make([]int32, 0, 8)
-	for i := 0; i < s.p.m; i++ {
-		if s.Has(i, k) {
-			repl = append(repl, int32(i))
-		}
-	}
-	return e.ObjectCost(k, repl)
+	repl := s.AppendReplicators(make([]int32, 0, s.p.m), k)
+	return s.p.objectTerms(k, repl).Total()
 }
 
 // CostTerms is eq. 4's D split into its three summands: the read traffic of
@@ -154,52 +190,16 @@ func (t CostTerms) Total() int64 { return t.ReadNTC + t.WriteNTC + t.UpdateNTC }
 // CostTerms returns the scheme's NTC broken into eq. 4's three terms — the
 // per-run manifest's cost decomposition.
 func (s *Scheme) CostTerms() CostTerms {
-	p := s.p
 	var t CostTerms
-	repl := make([]int32, 0, 8)
-	for k := 0; k < p.n; k++ {
-		repl = repl[:0]
-		for i := 0; i < p.m; i++ {
-			if s.Has(i, k) {
-				repl = append(repl, int32(i))
-			}
-		}
-		sp := p.primary[k]
-		ok := p.size[k]
-		wTot := p.totalWrites[k]
-		spRow := p.dist.Row(sp)
-		for i := 0; i < p.m; i++ {
-			row := p.dist.Row(i)
-			dmin := int64(-1)
-			for _, j := range repl {
-				if d := row[j]; dmin < 0 || d < dmin {
-					dmin = d
-					if d == 0 {
-						break
-					}
-				}
-			}
-			if dmin == 0 {
-				t.UpdateNTC += wTot * ok * spRow[i]
-			} else {
-				if dmin < 0 {
-					dmin = row[sp] // degenerate replica-free object: primary only
-				}
-				t.ReadNTC += p.reads[i*p.n+k] * ok * dmin
-				t.WriteNTC += p.writes[i*p.n+k] * ok * spRow[i]
-			}
-		}
+	repl := make([]int32, 0, s.p.m)
+	for k := 0; k < s.p.n; k++ {
+		repl = s.AppendReplicators(repl[:0], k)
+		v := s.p.objectTerms(k, repl)
+		t.ReadNTC += v.ReadNTC
+		t.WriteNTC += v.WriteNTC
+		t.UpdateNTC += v.UpdateNTC
 	}
 	return t
-}
-
-// Savings converts a cost into the paper's quality metric:
-// 100·(D_prime − D)/D_prime percent of the primaries-only NTC saved.
-func (p *Problem) Savings(cost int64) float64 {
-	if p.dPrime == 0 {
-		return 0
-	}
-	return 100 * float64(p.dPrime-cost) / float64(p.dPrime)
 }
 
 // Savings returns the scheme's % NTC saving over the primaries-only
@@ -219,7 +219,7 @@ func (s *Scheme) Savings() float64 { return s.p.Savings(s.Cost()) }
 // already paid (it is absorbed into the fan-in, so it offsets the penalty).
 func (p *Problem) Benefit(i, k int, nearestDist int64) float64 {
 	ok := p.size[k]
-	cSP := p.dist.At(i, p.primary[k])
+	cSP := p.dist.At(i, int(p.primary[k]))
 	reads := p.reads[i*p.n+k] * ok * nearestDist
 	fanIn := p.totalWrites[k] * ok * cSP
 	own := p.writes[i*p.n+k] * ok * cSP

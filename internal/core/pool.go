@@ -21,14 +21,16 @@ type EvalPool struct {
 	evs     []*Evaluator
 }
 
-// NewEvalPool returns a pool for p. parallelism follows the solvers'
-// convention: 0 means GOMAXPROCS, 1 is fully serial (evaluations run inline
-// on the caller's goroutine), anything larger is an explicit worker count.
-func NewEvalPool(p *Problem, parallelism int) *EvalPool {
+// NewEvalPool returns a pool for the instance — a dense Problem's or the
+// sparse solver's, so both representations share one pool. parallelism
+// follows the solvers' convention: 0 means GOMAXPROCS, 1 is fully serial
+// (evaluations run inline on the caller's goroutine), anything larger is an
+// explicit worker count.
+func NewEvalPool(in *Instance, parallelism int) *EvalPool {
 	w := parallel.Workers(parallelism)
 	evs := make([]*Evaluator, w)
 	for i := range evs {
-		evs[i] = NewEvaluator(p)
+		evs[i] = NewInstanceEvaluator(in)
 	}
 	return &EvalPool{workers: w, evs: evs}
 }
@@ -61,4 +63,25 @@ func (pl *EvalPool) Costs(xs []*bitset.Set) []int64 {
 	out := make([]int64, len(xs))
 	pl.Each(len(xs), func(ev *Evaluator, i int) { out[i] = ev.Cost(xs[i]) })
 	return out
+}
+
+// ObjectCosts evaluates V_k for every object's ascending replica list in
+// parallel and returns them in object order (their sum is D). The batch
+// counts as one evaluation on the meter.
+func (pl *EvalPool) ObjectCosts(lists [][]int32) []int64 {
+	out := make([]int64, len(lists))
+	in := pl.evs[0].in
+	pl.Each(len(lists), func(_ *Evaluator, k int) { out[k] = in.objectTerms(k, lists[k]).Total() })
+	pl.evs[0].count()
+	return out
+}
+
+// Cost evaluates D for per-object replica lists with per-object
+// parallelism — the million-object full evaluation.
+func (pl *EvalPool) Cost(lists [][]int32) int64 {
+	var total int64
+	for _, v := range pl.ObjectCosts(lists) {
+		total += v
+	}
+	return total
 }

@@ -69,7 +69,7 @@ func TestEvalPoolCostsMatchSerial(t *testing.T) {
 		want[i] = serial.Cost(x)
 	}
 	for _, par := range []int{1, 2, 8, 64} {
-		got := NewEvalPool(p, par).Costs(xs)
+		got := NewEvalPool(p.Instance, par).Costs(xs)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("par=%d: cost[%d] = %d, want %d", par, i, got[i], want[i])
@@ -80,13 +80,13 @@ func TestEvalPoolCostsMatchSerial(t *testing.T) {
 
 func TestEvalPoolWorkerResolution(t *testing.T) {
 	p, _ := poolProblem(t, 3, 3, 1)
-	if w := NewEvalPool(p, 3).Workers(); w != 3 {
+	if w := NewEvalPool(p.Instance, 3).Workers(); w != 3 {
 		t.Fatalf("explicit parallelism resolved to %d workers", w)
 	}
-	if w := NewEvalPool(p, 1).Workers(); w != 1 {
+	if w := NewEvalPool(p.Instance, 1).Workers(); w != 1 {
 		t.Fatalf("serial pool has %d workers", w)
 	}
-	if NewEvalPool(p, 0).Workers() < 1 {
+	if NewEvalPool(p.Instance, 0).Workers() < 1 {
 		t.Fatal("GOMAXPROCS pool has no workers")
 	}
 }
@@ -96,7 +96,7 @@ func TestEvalPoolWorkerResolution(t *testing.T) {
 // workers would be reported.
 func TestEvalPoolHammer(t *testing.T) {
 	p, xs := poolProblem(t, 8, 10, 64)
-	pool := NewEvalPool(p, 8)
+	pool := NewEvalPool(p.Instance, 8)
 	want := pool.Costs(xs)
 	for round := 0; round < 20; round++ {
 		got := pool.Costs(xs)

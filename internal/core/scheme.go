@@ -38,7 +38,7 @@ func NewScheme(p *Problem) *Scheme {
 		used: make([]int64, p.m),
 	}
 	for k := 0; k < p.n; k++ {
-		sp := p.primary[k]
+		sp := p.Primary(k)
 		s.x.Set(sp*p.n + k)
 		s.used[sp] += p.size[k]
 	}
@@ -62,8 +62,8 @@ func SchemeFromBits(p *Problem, x *bitset.Set) (*Scheme, error) {
 		}
 	}
 	for k := 0; k < p.n; k++ {
-		if !s.x.Test(p.primary[k]*p.n + k) {
-			return nil, fmt.Errorf("core: object %d missing primary copy at site %d", k, p.primary[k])
+		if !s.x.Test(p.Primary(k)*p.n + k) {
+			return nil, fmt.Errorf("core: object %d missing primary copy at site %d", k, p.Primary(k))
 		}
 	}
 	return s, nil
@@ -100,7 +100,7 @@ func (s *Scheme) Remove(i, k int) error {
 	if !s.Has(i, k) {
 		return ErrAbsent
 	}
-	if s.p.primary[k] == i {
+	if s.p.Primary(k) == i {
 		return ErrPrimary
 	}
 	s.x.Clear(i*s.p.n + k)
@@ -119,6 +119,20 @@ func (s *Scheme) Replicators(k int) []int {
 	}
 	return out
 }
+
+// AppendReplicators appends the sites holding object k, ascending, to dst
+// and returns the extended slice.
+func (s *Scheme) AppendReplicators(dst []int32, k int) []int32 {
+	for i := 0; i < s.p.m; i++ {
+		if s.Has(i, k) {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
+}
+
+// Instance returns the eq. 4 instance the scheme places replicas over.
+func (s *Scheme) Instance() *Instance { return s.p.Instance }
 
 // ReplicaDegree returns |R_k|, the number of replicas of object k.
 func (s *Scheme) ReplicaDegree(k int) int {
@@ -174,7 +188,7 @@ func (s *Scheme) Validate() error {
 		}
 	}
 	for k := 0; k < s.p.n; k++ {
-		if !s.Has(s.p.primary[k], k) {
+		if !s.Has(s.p.Primary(k), k) {
 			return fmt.Errorf("core: object %d lost its primary copy", k)
 		}
 	}

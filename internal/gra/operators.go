@@ -27,7 +27,7 @@ func newEvaluator(p *core.Problem, parallelism int) *evaluator {
 	}
 	return &evaluator{
 		p:       p,
-		pool:    core.NewEvalPool(p, parallelism),
+		pool:    core.NewEvalPool(p.Instance, parallelism),
 		primal:  primal,
 		geneLen: p.Objects(),
 	}

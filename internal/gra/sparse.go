@@ -34,10 +34,7 @@ func (pr Params) sparseShards() int {
 // runSparse executes the sharded sparse solve and adapts its result into
 // the GRA result shape.
 func runSparse(p *core.Problem, params Params, run solver.Run) (*Result, error) {
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return nil, fmt.Errorf("gra: sparse conversion: %w", err)
-	}
+	mo := sparse.FromProblem(p)
 	sres, err := sparse.Solve(mo, sparse.SolveParams{Shards: params.sparseShards()}, run)
 	if err != nil {
 		return nil, fmt.Errorf("gra: sparse solve: %w", err)

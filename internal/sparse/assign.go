@@ -28,53 +28,54 @@ type Assignment struct {
 // an N=1e6 instance allocates two slabs, not a million slivers; lists that
 // grow past their slot migrate to their own storage on first append.
 func NewAssignment(mo *Model) *Assignment {
-	backing := make([]int32, mo.n)
+	m, n := mo.Sites(), mo.Objects()
+	backing := make([]int32, n)
 	a := &Assignment{
 		mo:   mo,
-		repl: make([][]int32, mo.n),
-		used: make([]int64, mo.m),
+		repl: make([][]int32, n),
+		used: make([]int64, m),
 	}
-	for k := 0; k < mo.n; k++ {
-		backing[k] = mo.primary[k]
+	for k := 0; k < n; k++ {
+		backing[k] = mo.Primary(k)
 		a.repl[k] = backing[k : k+1 : k+1]
 	}
-	copy(a.used, mo.primaryLoad)
+	for i := range a.used {
+		a.used[i] = mo.PrimaryLoad(i)
+	}
 	return a
 }
 
 // Model returns the instance this assignment belongs to.
 func (a *Assignment) Model() *Model { return a.mo }
 
+// Instance returns the eq. 4 instance of the assignment's model.
+func (a *Assignment) Instance() *core.Instance { return a.mo.Instance }
+
 // Has reports whether site i holds a replica of object k.
 func (a *Assignment) Has(i, k int) bool {
-	_, found := search(a.repl[k], int32(i))
+	_, found := core.SearchSites(a.repl[k], int32(i))
 	return found
-}
-
-// search locates site in an ascending list: the insertion index and whether
-// the site is present. Lists are short (bounded by the candidate count), so
-// a linear scan beats binary search in practice and stays branch-predictable.
-func search(list []int32, site int32) (int, bool) {
-	for idx, s := range list {
-		if s == site {
-			return idx, true
-		}
-		if s > site {
-			return idx, false
-		}
-	}
-	return len(list), false
 }
 
 // Used returns the storage consumed at site i.
 func (a *Assignment) Used(i int) int64 { return a.used[i] }
 
 // Free returns the remaining capacity b(i) at site i.
-func (a *Assignment) Free(i int) int64 { return a.mo.cap[i] - a.used[i] }
+func (a *Assignment) Free(i int) int64 { return a.mo.Capacity(i) - a.used[i] }
 
 // Replicators returns object k's replica sites, ascending — a live view;
 // callers must not modify it.
 func (a *Assignment) Replicators(k int) []int32 { return a.repl[k] }
+
+// AppendReplicators appends object k's replica sites, ascending, to dst
+// and returns the extended slice.
+func (a *Assignment) AppendReplicators(dst []int32, k int) []int32 {
+	return append(dst, a.repl[k]...)
+}
+
+// ReplicaLists returns every object's replica list, indexed by object — a
+// live view for core.EvalPool; callers must not modify it.
+func (a *Assignment) ReplicaLists() [][]int32 { return a.repl }
 
 // ReplicaDegree returns |R_k|.
 func (a *Assignment) ReplicaDegree(k int) int { return len(a.repl[k]) }
@@ -90,11 +91,11 @@ func (a *Assignment) TotalReplicas() int {
 
 // Add places a replica of object k at site i.
 func (a *Assignment) Add(i, k int) error {
-	idx, found := search(a.repl[k], int32(i))
+	idx, found := core.SearchSites(a.repl[k], int32(i))
 	if found {
 		return core.ErrDuplicate
 	}
-	if a.Free(i) < a.mo.size[k] {
+	if a.Free(i) < a.mo.Size(k) {
 		return core.ErrCapacity
 	}
 	list := a.repl[k]
@@ -109,24 +110,24 @@ func (a *Assignment) Add(i, k int) error {
 	}
 	list[idx] = int32(i)
 	a.repl[k] = list
-	a.used[i] += a.mo.size[k]
+	a.used[i] += a.mo.Size(k)
 	return nil
 }
 
 // Remove drops the replica of object k from site i. Primary copies cannot
 // be removed.
 func (a *Assignment) Remove(i, k int) error {
-	idx, found := search(a.repl[k], int32(i))
+	idx, found := core.SearchSites(a.repl[k], int32(i))
 	if !found {
 		return core.ErrAbsent
 	}
-	if a.mo.primary[k] == int32(i) {
+	if a.mo.Primary(k) == int32(i) {
 		return core.ErrPrimary
 	}
 	list := a.repl[k]
 	copy(list[idx:], list[idx+1:])
 	a.repl[k] = list[:len(list)-1]
-	a.used[i] -= a.mo.size[k]
+	a.used[i] -= a.mo.Size(k)
 	return nil
 }
 
@@ -141,11 +142,11 @@ func (a *Assignment) SetReplicators(k int, sites []int32) error {
 		if s <= prev {
 			return fmt.Errorf("sparse: replica list for object %d not strictly ascending", k)
 		}
-		if s < 0 || int(s) >= a.mo.m {
-			return fmt.Errorf("sparse: replica list for object %d references site %d of %d", k, s, a.mo.m)
+		if s < 0 || int(s) >= a.mo.Sites() {
+			return fmt.Errorf("sparse: replica list for object %d references site %d of %d", k, s, a.mo.Sites())
 		}
 		prev = s
-		if s == a.mo.primary[k] {
+		if s == a.mo.Primary(k) {
 			hasPrimary = true
 		}
 	}
@@ -155,10 +156,10 @@ func (a *Assignment) SetReplicators(k int, sites []int32) error {
 	// Adjust usage as remove-all + add-all; check capacity before mutating.
 	delta := make(map[int32]int64, len(sites)+len(a.repl[k]))
 	for _, s := range a.repl[k] {
-		delta[s] -= a.mo.size[k]
+		delta[s] -= a.mo.Size(k)
 	}
 	for _, s := range sites {
-		delta[s] += a.mo.size[k]
+		delta[s] += a.mo.Size(k)
 	}
 	for s, d := range delta {
 		if d > 0 && a.Free(int(s)) < d {
@@ -176,10 +177,10 @@ func (a *Assignment) SetReplicators(k int, sites []int32) error {
 func (a *Assignment) Clone() *Assignment {
 	out := &Assignment{
 		mo:   a.mo,
-		repl: make([][]int32, a.mo.n),
+		repl: make([][]int32, a.mo.Objects()),
 		used: append([]int64(nil), a.used...),
 	}
-	backing := make([]int32, 0, a.mo.n+a.TotalReplicas())
+	backing := make([]int32, 0, a.mo.Objects()+a.TotalReplicas())
 	for k, l := range a.repl {
 		start := len(backing)
 		backing = append(backing, l...)
@@ -209,8 +210,8 @@ func (a *Assignment) Equal(other *Assignment) bool {
 // ToScheme converts into a dense core.Scheme over the equivalent dense
 // problem — the bridge the differential tests cross.
 func (a *Assignment) ToScheme(p *core.Problem) (*core.Scheme, error) {
-	if p.Sites() != a.mo.m || p.Objects() != a.mo.n {
-		return nil, fmt.Errorf("sparse: problem is %d×%d, assignment is %d×%d", p.Sites(), p.Objects(), a.mo.m, a.mo.n)
+	if p.Sites() != a.mo.Sites() || p.Objects() != a.mo.Objects() {
+		return nil, fmt.Errorf("sparse: problem is %d×%d, assignment is %d×%d", p.Sites(), p.Objects(), a.mo.Sites(), a.mo.Objects())
 	}
 	s := core.NewScheme(p)
 	for k, l := range a.repl {
@@ -233,13 +234,13 @@ func (a *Assignment) ToScheme(p *core.Problem) (*core.Scheme, error) {
 // algorithms always convert.
 func FromScheme(mo *Model, s *core.Scheme) (*Assignment, error) {
 	p := s.Problem()
-	if p.Sites() != mo.m || p.Objects() != mo.n {
-		return nil, fmt.Errorf("sparse: scheme is %d×%d, model is %d×%d", p.Sites(), p.Objects(), mo.m, mo.n)
+	if p.Sites() != mo.Sites() || p.Objects() != mo.Objects() {
+		return nil, fmt.Errorf("sparse: scheme is %d×%d, model is %d×%d", p.Sites(), p.Objects(), mo.Sites(), mo.Objects())
 	}
 	a := NewAssignment(mo)
-	for k := 0; k < mo.n; k++ {
+	for k := 0; k < mo.Objects(); k++ {
 		for _, i := range s.Replicators(k) {
-			if int32(i) == mo.primary[k] {
+			if int32(i) == mo.Primary(k) {
 				continue
 			}
 			if err := a.Add(i, k); err != nil {
@@ -253,7 +254,7 @@ func FromScheme(mo *Model, s *core.Scheme) (*Assignment, error) {
 // Validate re-checks both DRP constraints from scratch, mirroring
 // core.Scheme.Validate.
 func (a *Assignment) Validate() error {
-	usage := make([]int64, a.mo.m)
+	usage := make([]int64, a.mo.Sites())
 	for k, l := range a.repl {
 		prev := int32(-1)
 		hasPrimary := false
@@ -262,8 +263,8 @@ func (a *Assignment) Validate() error {
 				return fmt.Errorf("sparse: object %d replica list not ascending", k)
 			}
 			prev = s
-			usage[s] += a.mo.size[k]
-			if s == a.mo.primary[k] {
+			usage[s] += a.mo.Size(k)
+			if s == a.mo.Primary(k) {
 				hasPrimary = true
 			}
 		}
@@ -271,12 +272,12 @@ func (a *Assignment) Validate() error {
 			return fmt.Errorf("sparse: object %d lost its primary copy", k)
 		}
 	}
-	for i := 0; i < a.mo.m; i++ {
+	for i := 0; i < a.mo.Sites(); i++ {
 		if usage[i] != a.used[i] {
 			return fmt.Errorf("sparse: site %d tracked usage %d != actual %d", i, a.used[i], usage[i])
 		}
-		if usage[i] > a.mo.cap[i] {
-			return fmt.Errorf("sparse: site %d over capacity: %d > %d", i, usage[i], a.mo.cap[i])
+		if usage[i] > a.mo.Capacity(i) {
+			return fmt.Errorf("sparse: site %d over capacity: %d > %d", i, usage[i], a.mo.Capacity(i))
 		}
 	}
 	return nil

@@ -1,159 +1,17 @@
 package sparse
 
-import (
-	"sync/atomic"
+import "drp/internal/core"
 
-	"drp/internal/parallel"
-)
-
-// Evaluator computes eq. 4's D over the sparse representation. Where the
-// dense core.Evaluator walks all M sites per object, this one touches only
-// the replicators (for the update fan-in term) and the object's CSR
-// read/write entries (for the non-replicator terms) — O(|R_k| + nnz_k)
-// instead of O(M·|R_k|) per object. Every term is the same int64 product
-// the dense evaluator adds, and int64 addition is associative and
-// commutative, so the reordered sum is bit-identical; the sparse-eval
-// differential check in internal/verify holds the two paths equal.
-//
-// Not safe for concurrent use; create one per goroutine (EvalPool does).
-type Evaluator struct {
-	mo    *Model
-	meter *atomic.Int64
-}
+// Evaluator computes eq. 4's D for assignments. It is a core.Evaluator over
+// the model's instance — ObjectCost and SetMeter are core's — whose Cost
+// takes an Assignment. Not safe for concurrent use; create one per
+// goroutine.
+type Evaluator struct{ *core.Evaluator }
 
 // NewEvaluator returns an evaluator for mo.
-func NewEvaluator(mo *Model) *Evaluator { return &Evaluator{mo: mo} }
-
-// SetMeter attaches an evaluation counter: every subsequent Cost and
-// ObjectCost call adds one to it, the same unit the dense evaluator meters,
-// so sparse runs draw from solver budgets identically. The counter may be
-// shared across evaluators (and goroutines); nil detaches.
-func (e *Evaluator) SetMeter(meter *atomic.Int64) { e.meter = meter }
+func NewEvaluator(mo *Model) *Evaluator {
+	return &Evaluator{core.NewInstanceEvaluator(mo.Instance)}
+}
 
 // Cost returns D for the assignment.
-func (e *Evaluator) Cost(a *Assignment) int64 {
-	if e.meter != nil {
-		e.meter.Add(1)
-	}
-	var total int64
-	for k := 0; k < e.mo.n; k++ {
-		total += e.objectCost(k, a.repl[k])
-	}
-	return total
-}
-
-// ObjectCost returns V_k, the NTC attributable to object k, for the
-// replicator set given as ascending site indices.
-func (e *Evaluator) ObjectCost(k int, replicators []int32) int64 {
-	if e.meter != nil {
-		e.meter.Add(1)
-	}
-	return e.objectCost(k, replicators)
-}
-
-func (e *Evaluator) objectCost(k int, repl []int32) int64 {
-	mo := e.mo
-	if len(repl) == 0 {
-		// Degenerate replica-free input: primaries-only, like the dense path.
-		return mo.vPrime[k]
-	}
-	sp := int(mo.primary[k])
-	ok := mo.size[k]
-	wTot := mo.totalWrites[k]
-	spRow := mo.dist.Row(sp)
-	var total int64
-	// Update fan-in: every replicator receives each update from the primary
-	// (a replicator's own writes ship via the x=i term, exactly as dense).
-	for _, i := range repl {
-		total += wTot * ok * spRow[i]
-	}
-	// Non-replicator reads go to the nearest replica; non-replicator writes
-	// ship to the primary. Sites with zero traffic contribute zero in the
-	// dense sum, so skipping them cannot diverge.
-	rs, rc := mo.ReadEntries(k)
-	for idx, j := range rs {
-		if _, isRepl := search(repl, j); isRepl {
-			continue
-		}
-		row := mo.dist.Row(int(j))
-		dmin := row[repl[0]]
-		for _, x := range repl[1:] {
-			if d := row[x]; d < dmin {
-				dmin = d
-			}
-		}
-		total += rc[idx] * ok * dmin
-	}
-	ws, wc := mo.WriteEntries(k)
-	for idx, j := range ws {
-		if _, isRepl := search(repl, j); isRepl {
-			continue
-		}
-		total += wc[idx] * ok * spRow[j]
-	}
-	return total
-}
-
-// EvalPool fans sparse cost evaluations out across per-goroutine
-// Evaluators, mirroring core.EvalPool: results are written by task index,
-// so the reduction order — and every downstream decision — is identical at
-// any worker count.
-type EvalPool struct {
-	workers int
-	evs     []*Evaluator
-}
-
-// NewEvalPool returns a pool for mo. parallelism follows the solvers'
-// convention: 0 means GOMAXPROCS, 1 is fully serial.
-func NewEvalPool(mo *Model, parallelism int) *EvalPool {
-	w := parallel.Workers(parallelism)
-	evs := make([]*Evaluator, w)
-	for i := range evs {
-		evs[i] = NewEvaluator(mo)
-	}
-	return &EvalPool{workers: w, evs: evs}
-}
-
-// SetMeter attaches one shared evaluation counter to every worker's
-// evaluator; nil detaches.
-func (pl *EvalPool) SetMeter(meter *atomic.Int64) {
-	for _, ev := range pl.evs {
-		ev.SetMeter(meter)
-	}
-}
-
-// Workers returns the pool's worker count.
-func (pl *EvalPool) Workers() int { return pl.workers }
-
-// Evaluator returns worker 0's evaluator for inline use on the caller's
-// goroutine (never concurrently with Each).
-func (pl *EvalPool) Evaluator() *Evaluator { return pl.evs[0] }
-
-// Each runs fn(ev, i) for every i in [0, n) across the pool, handing each
-// invocation a worker-private Evaluator. fn must write its result into an
-// index-addressed slot and must not touch shared mutable state.
-func (pl *EvalPool) Each(n int, fn func(ev *Evaluator, i int)) {
-	parallel.ForWorker(n, pl.workers, func(w, i int) { fn(pl.evs[w], i) })
-}
-
-// ObjectCosts evaluates V_k for every object of the assignment in parallel
-// and returns them in object order (their sum is D).
-func (pl *EvalPool) ObjectCosts(a *Assignment) []int64 {
-	out := make([]int64, a.mo.n)
-	pl.Each(a.mo.n, func(ev *Evaluator, k int) { out[k] = ev.objectCost(k, a.repl[k]) })
-	if len(pl.evs) > 0 && pl.evs[0].meter != nil {
-		pl.evs[0].meter.Add(1) // one full-assignment evaluation
-	}
-	return out
-}
-
-// Cost evaluates D for the assignment with per-object parallelism — the
-// million-object full evaluation the bench trajectory times.
-func (pl *EvalPool) Cost(a *Assignment) int64 {
-	costs := pl.ObjectCosts(a)
-	var total int64
-	for _, v := range costs {
-		total += v
-	}
-	return total
-}
+func (e *Evaluator) Cost(a *Assignment) int64 { return e.CostLists(a.repl) }

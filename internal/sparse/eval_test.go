@@ -42,7 +42,7 @@ func TestDeltaMatchesDense(t *testing.T) {
 		p := denseFromModel(t, mo)
 		a := NewAssignment(mo)
 		s := core.NewScheme(p)
-		sd := NewDeltaEvaluator(a)
+		sd := core.NewDeltaEvaluator(a)
 		dd := core.NewDeltaEvaluator(s)
 		if sd.Cost() != dd.Cost() {
 			t.Fatalf("seed %d: initial cost sparse %d, dense %d", seed, sd.Cost(), dd.Cost())
@@ -117,14 +117,14 @@ func TestEvalPoolParity(t *testing.T) {
 		wantTotal += want[k]
 	}
 	for _, workers := range []int{1, 2, 8} {
-		pool := NewEvalPool(mo, workers)
-		got := pool.ObjectCosts(a)
+		pool := core.NewEvalPool(mo.Instance, workers)
+		got := pool.ObjectCosts(a.ReplicaLists())
 		for k := range want {
 			if got[k] != want[k] {
 				t.Fatalf("workers %d: V_%d = %d, want %d", workers, k, got[k], want[k])
 			}
 		}
-		if total := pool.Cost(a); total != wantTotal {
+		if total := pool.Cost(a.ReplicaLists()); total != wantTotal {
 			t.Fatalf("workers %d: total %d, want %d", workers, total, wantTotal)
 		}
 	}
@@ -141,9 +141,9 @@ func TestEvaluatorMeter(t *testing.T) {
 	if got := meter.Load(); got != 2 {
 		t.Fatalf("meter %d after Cost+ObjectCost, want 2", got)
 	}
-	pool := NewEvalPool(mo, 4)
+	pool := core.NewEvalPool(mo.Instance, 4)
 	pool.SetMeter(&meter)
-	pool.Cost(a)
+	pool.Cost(a.ReplicaLists())
 	if got := meter.Load(); got != 3 {
 		t.Fatalf("meter %d after pooled Cost, want 3 (one charge per full evaluation)", got)
 	}

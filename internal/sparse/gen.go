@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"drp/internal/core"
 	"drp/internal/netsim"
 	"drp/internal/xrand"
 )
@@ -134,7 +135,7 @@ func GenerateWorkload(spec WorkloadSpec, seed uint64) (*Model, error) {
 		}
 	}
 
-	cfg := Config{
+	cfg := core.InstanceConfig{
 		Sizes:      make([]int64, n),
 		Capacities: make([]int64, m),
 		Primaries:  make([]int32, n),
@@ -207,30 +208,25 @@ func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*
 	if err := spec.validate(); err != nil {
 		return nil, nil, err
 	}
-	if spec.Sites != mo.m || spec.Objects != mo.n {
-		return nil, nil, fmt.Errorf("sparse: spec is %d×%d, model is %d×%d", spec.Sites, spec.Objects, mo.m, mo.n)
+	m, n := mo.Sites(), mo.Objects()
+	if spec.Sites != m || spec.Objects != n {
+		return nil, nil, fmt.Errorf("sparse: spec is %d×%d, model is %d×%d", spec.Sites, spec.Objects, m, n)
 	}
 	rng := xrand.New(seed)
-	cfg := Config{
-		Sizes:      mo.size,
-		Capacities: mo.cap,
-		Primaries:  mo.primary,
-		Dist:       mo.dist,
-	}
-	cfg.Reads.Off = make([]int32, mo.n+1)
-	cfg.Writes.Off = make([]int32, mo.n+1)
+	reads := core.CSR{Off: make([]int32, n+1)}
+	writes := core.CSR{Off: make([]int32, n+1)}
 
 	var changed []int
-	smp := newSampler(mo.m)
+	smp := newSampler(m)
 	scratch := make([]int32, 0, spec.ReaderSites+spec.WriterSites)
-	for k := 0; k < mo.n; k++ {
+	for k := 0; k < n; k++ {
 		if rng.Float64() < frac {
 			changed = append(changed, k)
 			readers := rng.IntRange(1, spec.ReaderSites)
 			scratch = smp.draw(readers, rng, scratch)
 			for _, site := range scratch {
-				cfg.Reads.Site = append(cfg.Reads.Site, site)
-				cfg.Reads.Cnt = append(cfg.Reads.Cnt, int64(rng.IntRange(spec.ReadMin, spec.ReadMax)))
+				reads.Site = append(reads.Site, site)
+				reads.Cnt = append(reads.Cnt, int64(rng.IntRange(spec.ReadMin, spec.ReadMax)))
 			}
 			writers := 0
 			if spec.WriterSites > 0 {
@@ -239,24 +235,24 @@ func PerturbWorkload(mo *Model, spec WorkloadSpec, frac float64, seed uint64) (*
 			if writers > 0 {
 				scratch = smp.draw(writers, rng, scratch)
 				for _, site := range scratch {
-					cfg.Writes.Site = append(cfg.Writes.Site, site)
-					cfg.Writes.Cnt = append(cfg.Writes.Cnt, int64(rng.IntRange(spec.WriteMin, spec.WriteMax)))
+					writes.Site = append(writes.Site, site)
+					writes.Cnt = append(writes.Cnt, int64(rng.IntRange(spec.WriteMin, spec.WriteMax)))
 				}
 			}
 		} else {
 			rs, rc := mo.ReadEntries(k)
-			cfg.Reads.Site = append(cfg.Reads.Site, rs...)
-			cfg.Reads.Cnt = append(cfg.Reads.Cnt, rc...)
+			reads.Site = append(reads.Site, rs...)
+			reads.Cnt = append(reads.Cnt, rc...)
 			ws, wc := mo.WriteEntries(k)
-			cfg.Writes.Site = append(cfg.Writes.Site, ws...)
-			cfg.Writes.Cnt = append(cfg.Writes.Cnt, wc...)
+			writes.Site = append(writes.Site, ws...)
+			writes.Cnt = append(writes.Cnt, wc...)
 		}
-		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
-		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
+		reads.Off[k+1] = int32(len(reads.Site))
+		writes.Off[k+1] = int32(len(writes.Site))
 	}
-	shifted, err := NewModel(cfg)
+	shifted, err := mo.WithAccess(reads, writes)
 	if err != nil {
 		return nil, nil, err
 	}
-	return shifted, changed, nil
+	return newModel(shifted), changed, nil
 }

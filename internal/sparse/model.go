@@ -1,14 +1,15 @@
-// Package sparse is the million-object solver core (ROADMAP item 3). The
-// dense path materialises M×N read/write matrices and M·N-bit chromosomes,
-// which caps instances at toy scale; this package exploits the structural
-// sparsity of real workloads — most objects are read from few sites
-// ("Optimal Data Placement on Networks With Constant Number of Clients",
-// PAPERS.md) — with three ingredients:
+// Package sparse is the million-object solver core. The dense path
+// materialises M×N read/write matrices and M·N-bit chromosomes, which caps
+// instances at toy scale; this package exploits the structural sparsity of
+// real workloads — most objects are read from few sites ("Optimal Data
+// Placement on Networks With Constant Number of Clients", PAPERS.md) — with
+// three ingredients:
 //
-//   - CSR-style access vectors: per-object (site, count) lists for reads and
-//     writes, pooled into four flat arrays, so an N=1e6 × M=100 instance
-//     with ~10 accessing sites per object costs ~100 MB instead of the
-//     ~1.6 GB two dense matrices would need;
+//   - CSR-style access vectors: the shared core.Instance stores per-object
+//     (site, count) lists for reads and writes, pooled into four flat
+//     arrays, so an N=1e6 × M=100 instance with ~10 accessing sites per
+//     object costs ~100 MB instead of the ~1.6 GB two dense matrices would
+//     need;
 //   - candidate-site pruning: per object, the sites at which a replica could
 //     ever pay for its update fan-in (plus the primary), computed from a
 //     sound upper bound on the achievable saving and from capacity
@@ -18,104 +19,21 @@
 //     so per-object search fans out across workers and a deterministic
 //     capacity-ledger merge reconciles the proposals (solve.go).
 //
-// The evaluator and delta-evaluator over this representation are
-// bit-identical to internal/core's dense ones wherever both apply: both
-// compute exact int64 sums of identical eq. 4 terms, and int64 addition is
-// associative and commutative, so the reordered sparse summation cannot
-// diverge. The differential checks in internal/verify (sparse-eval,
-// sparse-delta) and the tests in this package enforce that equality
-// term-for-term.
+// Eq. 4 itself is not re-implemented here: Evaluator, the delta evaluator
+// and the evaluation pool are internal/core's, called with an Assignment's
+// per-object replica lists, so sparse and dense costs come from one kernel.
 package sparse
 
 import (
-	"fmt"
-	"math"
-
 	"drp/internal/core"
-	"drp/internal/netsim"
 	"drp/internal/parallel"
 )
 
-// CSR is a compressed sparse row access pattern over objects: object k's
-// entries are Site[Off[k]:Off[k+1]] (strictly ascending site indices) with
-// parallel counts Cnt[Off[k]:Off[k+1]]. Offsets are int32 — ample, since
-// even a fully dense 1e6×100 instance has 1e8 entries — to halve index
-// memory.
-type CSR struct {
-	Off  []int32 // length N+1, non-decreasing, Off[0] = 0
-	Site []int32 // ascending within each object, in [0, M)
-	Cnt  []int64 // non-negative counts, parallel to Site
-}
-
-// Range returns object k's entry range.
-func (c *CSR) Range(k int) (int32, int32) { return c.Off[k], c.Off[k+1] }
-
-// validate checks CSR well-formedness for n objects over m sites.
-func (c *CSR) validate(kind string, m, n int) error {
-	if len(c.Off) != n+1 {
-		return fmt.Errorf("sparse: %s offsets have length %d, want %d", kind, len(c.Off), n+1)
-	}
-	if c.Off[0] != 0 {
-		return fmt.Errorf("sparse: %s offsets must start at 0, got %d", kind, c.Off[0])
-	}
-	if len(c.Site) != len(c.Cnt) {
-		return fmt.Errorf("sparse: %s has %d sites but %d counts", kind, len(c.Site), len(c.Cnt))
-	}
-	if int(c.Off[n]) != len(c.Site) {
-		return fmt.Errorf("sparse: %s offsets end at %d but %d entries exist", kind, c.Off[n], len(c.Site))
-	}
-	for k := 0; k < n; k++ {
-		lo, hi := c.Off[k], c.Off[k+1]
-		if hi < lo {
-			return fmt.Errorf("sparse: %s offsets decrease at object %d", kind, k)
-		}
-		prev := int32(-1)
-		for idx := lo; idx < hi; idx++ {
-			site := c.Site[idx]
-			if site < 0 || int(site) >= m {
-				return fmt.Errorf("sparse: %s object %d references site %d of %d", kind, k, site, m)
-			}
-			if site <= prev {
-				return fmt.Errorf("sparse: %s object %d sites not strictly ascending at entry %d", kind, k, idx-lo)
-			}
-			prev = site
-			if c.Cnt[idx] < 0 {
-				return fmt.Errorf("sparse: %s object %d has negative count at site %d", kind, k, site)
-			}
-		}
-	}
-	return nil
-}
-
-// Config carries the raw inputs of a sparse DRP instance into NewModel.
-// Slices are retained, not copied — callers hand over ownership (the pooled
-// flat arrays are the point of this representation).
-type Config struct {
-	Sizes      []int64 // o_k, positive
-	Capacities []int64 // s(i), non-negative
-	Primaries  []int32 // SP_k
-	Reads      CSR     // r_k(i) for the sites that read k
-	Writes     CSR     // w_k(i) for the sites that write k
-	Dist       *netsim.DistMatrix
-}
-
-// Model is an immutable sparse DRP instance: the same eq. 4 problem as
-// core.Problem, stored object-major in CSR form with per-object candidate
-// site lists precomputed.
+// Model is an immutable sparse DRP instance: the shared eq. 4
+// core.Instance (object-major CSR access patterns, validated once) plus
+// per-object candidate site lists.
 type Model struct {
-	m, n    int
-	size    []int64
-	cap     []int64
-	primary []int32
-	reads   CSR
-	writes  CSR
-	dist    *netsim.DistMatrix
-
-	totalReads  []int64
-	totalWrites []int64
-	vPrime      []int64
-	dPrime      int64
-	primaryLoad []int64 // Σ o_k over objects with SP_k = i: the floor of any valid usage
+	*core.Instance
 
 	// Candidate lists, pooled: object k may hold replicas only at
 	// candSite[candOff[k]:candOff[k+1]] (ascending, primary always present).
@@ -123,197 +41,21 @@ type Model struct {
 	candSite []int32
 }
 
-// NewModel validates cfg and builds the instance: the same gates as
-// core.NewProblem (positive sizes, primary fit, the worst-case-NTC int64
-// overflow bound) plus CSR well-formedness, then the derived caches and the
-// pruned candidate lists.
-func NewModel(cfg Config) (*Model, error) {
-	if cfg.Dist == nil {
-		return nil, fmt.Errorf("sparse: nil distance matrix")
-	}
-	m := cfg.Dist.Sites()
-	n := len(cfg.Sizes)
-	if n == 0 {
-		return nil, fmt.Errorf("sparse: no objects")
-	}
-	if len(cfg.Capacities) != m {
-		return nil, fmt.Errorf("sparse: %d capacities for %d sites", len(cfg.Capacities), m)
-	}
-	if len(cfg.Primaries) != n {
-		return nil, fmt.Errorf("sparse: %d primaries for %d objects", len(cfg.Primaries), n)
-	}
-	if int64(m)*int64(n) > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: %d sites × %d objects exceeds the int32 offset range", m, n)
-	}
-	if err := cfg.Dist.Validate(); err != nil {
-		return nil, fmt.Errorf("sparse: %w", err)
-	}
-	mo := &Model{
-		m:       m,
-		n:       n,
-		size:    cfg.Sizes,
-		cap:     cfg.Capacities,
-		primary: cfg.Primaries,
-		reads:   cfg.Reads,
-		writes:  cfg.Writes,
-		dist:    cfg.Dist,
-	}
-	for k, sz := range mo.size {
-		if sz <= 0 {
-			return nil, fmt.Errorf("sparse: object %d has non-positive size %d", k, sz)
-		}
-	}
-	for i, c := range mo.cap {
-		if c < 0 {
-			return nil, fmt.Errorf("sparse: site %d has negative capacity %d", i, c)
-		}
-	}
-	var sizeSum int64
-	for k, sz := range mo.size {
-		var ok bool
-		if sizeSum, ok = addNonNeg(sizeSum, sz); !ok {
-			return nil, fmt.Errorf("sparse: object sizes overflow int64 at object %d", k)
-		}
-	}
-	mo.primaryLoad = make([]int64, m)
-	for k, sp := range mo.primary {
-		if sp < 0 || int(sp) >= m {
-			return nil, fmt.Errorf("sparse: object %d has out-of-range primary %d", k, sp)
-		}
-		mo.primaryLoad[sp] += mo.size[k]
-	}
-	for i, use := range mo.primaryLoad {
-		if use > mo.cap[i] {
-			return nil, fmt.Errorf("sparse: infeasible instance: primaries at site %d need %d units, capacity is %d", i, use, mo.cap[i])
-		}
-	}
-	if err := mo.reads.validate("read pattern", m, n); err != nil {
+// NewModel validates cfg through core.NewInstance (which retains the
+// slices rather than copying them) and computes the pruned candidate
+// lists.
+func NewModel(cfg core.InstanceConfig) (*Model, error) {
+	in, err := core.NewInstance(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if err := mo.writes.validate("write pattern", m, n); err != nil {
-		return nil, err
-	}
-	if err := mo.buildCaches(); err != nil {
-		return nil, err
-	}
+	return newModel(in), nil
+}
+
+func newModel(in *core.Instance) *Model {
+	mo := &Model{Instance: in}
 	mo.buildCandidates()
-	return mo, nil
-}
-
-// addNonNeg returns a+b and whether the sum of two non-negative values
-// stayed within int64 (core.NewProblem's helper, mirrored).
-func addNonNeg(a, b int64) (int64, bool) {
-	s := a + b
-	return s, s >= a
-}
-
-// mulNonNeg returns a·b and whether the product of two non-negative values
-// stayed within int64.
-func mulNonNeg(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	prod := a * b
-	return prod, prod/a == b && prod >= 0
-}
-
-// satAdd and satMul are the saturating variants used only by the candidate
-// scorer: a saturated saving bound keeps the site as a candidate (the
-// conservative direction), so pruning stays sound on extreme instances.
-func satAdd(a, b int64) int64 {
-	if s, ok := addNonNeg(a, b); ok {
-		return s
-	}
-	return math.MaxInt64
-}
-
-func satMul(a, b int64) int64 {
-	if p, ok := mulNonNeg(a, b); ok {
-		return p
-	}
-	return math.MaxInt64
-}
-
-func (mo *Model) buildCaches() error {
-	mo.totalReads = make([]int64, mo.n)
-	mo.totalWrites = make([]int64, mo.n)
-	for k := 0; k < mo.n; k++ {
-		ro, re := mo.reads.Range(k)
-		for idx := ro; idx < re; idx++ {
-			var ok bool
-			if mo.totalReads[k], ok = addNonNeg(mo.totalReads[k], mo.reads.Cnt[idx]); !ok {
-				return fmt.Errorf("sparse: read total for object %d overflows int64", k)
-			}
-		}
-		wo, we := mo.writes.Range(k)
-		for idx := wo; idx < we; idx++ {
-			var ok bool
-			if mo.totalWrites[k], ok = addNonNeg(mo.totalWrites[k], mo.writes.Cnt[idx]); !ok {
-				return fmt.Errorf("sparse: write total for object %d overflows int64", k)
-			}
-		}
-	}
-	// Worst-case NTC gate, identical to core.NewProblem's: if
-	// Σ_k (1 + Rtot_k + (M+1)·Wtot_k)·o_k·maxC fits int64, every cost any
-	// evaluator, delta evaluator or merge in this package can compute fits
-	// too — so the hot paths never need per-term overflow checks, even at
-	// N=1e6 where a 53-bit float mantissa or an unchecked product would
-	// silently wrap.
-	var maxC int64
-	for i := 0; i < mo.m; i++ {
-		for _, c := range mo.dist.Row(i) {
-			if c > maxC {
-				maxC = c
-			}
-		}
-	}
-	var bound int64
-	for k := 0; k < mo.n; k++ {
-		fanIn, ok := mulNonNeg(int64(mo.m)+1, mo.totalWrites[k])
-		if !ok {
-			return errMagnitude(k)
-		}
-		traffic, ok := addNonNeg(mo.totalReads[k], fanIn)
-		if !ok {
-			return errMagnitude(k)
-		}
-		traffic, ok = addNonNeg(traffic, 1)
-		if !ok {
-			return errMagnitude(k)
-		}
-		vol, ok := mulNonNeg(traffic, mo.size[k])
-		if !ok {
-			return errMagnitude(k)
-		}
-		cost, ok := mulNonNeg(vol, maxC)
-		if !ok {
-			return errMagnitude(k)
-		}
-		if bound, ok = addNonNeg(bound, cost); !ok {
-			return errMagnitude(k)
-		}
-	}
-	mo.vPrime = make([]int64, mo.n)
-	for k := 0; k < mo.n; k++ {
-		sp := int(mo.primary[k])
-		spRow := mo.dist.Row(sp)
-		var v int64
-		ro, re := mo.reads.Range(k)
-		for idx := ro; idx < re; idx++ {
-			v += mo.reads.Cnt[idx] * mo.size[k] * spRow[mo.reads.Site[idx]]
-		}
-		wo, we := mo.writes.Range(k)
-		for idx := wo; idx < we; idx++ {
-			v += mo.writes.Cnt[idx] * mo.size[k] * spRow[mo.writes.Site[idx]]
-		}
-		mo.vPrime[k] = v
-		mo.dPrime += v
-	}
-	return nil
-}
-
-func errMagnitude(k int) error {
-	return fmt.Errorf("sparse: traffic volume of object %d overflows the int64 cost range", k)
+	return mo
 }
 
 // buildCandidates computes the pruned candidate-site list of every object.
@@ -344,7 +86,8 @@ func errMagnitude(k int) error {
 // Saturating arithmetic on the saving side only ever keeps a candidate, so
 // extreme magnitudes degrade pruning, never correctness.
 func (mo *Model) buildCandidates() {
-	lists := make([][]int32, mo.n)
+	m, n := mo.Sites(), mo.Objects()
+	lists := make([][]int32, n)
 	workers := parallel.Workers(0)
 	type scratch struct {
 		rAt     []int64
@@ -353,47 +96,45 @@ func (mo *Model) buildCandidates() {
 	}
 	scratches := make([]scratch, workers)
 	for w := range scratches {
-		scratches[w] = scratch{rAt: make([]int64, mo.m), wAt: make([]int64, mo.m)}
+		scratches[w] = scratch{rAt: make([]int64, m), wAt: make([]int64, m)}
 	}
-	parallel.ForWorker(mo.n, workers, func(w, k int) {
+	dist := mo.Dist()
+	parallel.ForWorker(n, workers, func(w, k int) {
 		sc := &scratches[w]
-		sp := int(mo.primary[k])
-		spCol := mo.dist.Row(sp) // C(sp,·) = C(·,sp); the matrix is symmetric
-		ro, re := mo.reads.Range(k)
-		wo, we := mo.writes.Range(k)
+		sp := int(mo.Primary(k))
+		spCol := dist.Row(sp) // C(sp,·) = C(·,sp); the matrix is symmetric
+		rs, rc := mo.ReadEntries(k)
+		ws, wc := mo.WriteEntries(k)
 		sc.touched = sc.touched[:0]
-		for idx := ro; idx < re; idx++ {
-			site := mo.reads.Site[idx]
-			sc.rAt[site] = mo.reads.Cnt[idx]
+		for idx, site := range rs {
+			sc.rAt[site] = rc[idx]
 			sc.touched = append(sc.touched, site)
 		}
-		for idx := wo; idx < we; idx++ {
-			site := mo.writes.Site[idx]
-			sc.wAt[site] = mo.writes.Cnt[idx]
+		for idx, site := range ws {
+			sc.wAt[site] = wc[idx]
 			sc.touched = append(sc.touched, site)
 		}
-		wTot := mo.totalWrites[k]
-		sz := mo.size[k]
+		wTot := mo.TotalWrites(k)
+		sz := mo.Size(k)
 		cand := make([]int32, 0, 8)
-		for i := 0; i < mo.m; i++ {
+		for i := 0; i < m; i++ {
 			if i == sp {
 				cand = append(cand, int32(i))
 				continue
 			}
-			if mo.primaryLoad[i]+sz > mo.cap[i] {
+			if mo.PrimaryLoad(i)+sz > mo.Capacity(i) {
 				continue
 			}
 			cSP := spCol[i]
 			fanIn := wTot * cSP // bounded by the NTC gate; exact
-			saving := satMul(sc.rAt[i]+sc.wAt[i], cSP)
-			rowI := mo.dist.Row(i)
-			for idx := ro; idx < re; idx++ {
-				j := mo.reads.Site[idx]
+			saving := core.SatMul(sc.rAt[i]+sc.wAt[i], cSP)
+			rowI := dist.Row(i)
+			for idx, j := range rs {
 				if int(j) == i {
 					continue
 				}
 				if drop := spCol[j] - rowI[j]; drop > 0 {
-					saving = satAdd(saving, satMul(mo.reads.Cnt[idx], drop))
+					saving = core.SatAdd(saving, core.SatMul(rc[idx], drop))
 				}
 			}
 			if saving > fanIn {
@@ -410,7 +151,7 @@ func (mo *Model) buildCandidates() {
 	for _, l := range lists {
 		total += len(l)
 	}
-	mo.candOff = make([]int32, mo.n+1)
+	mo.candOff = make([]int32, n+1)
 	mo.candSite = make([]int32, 0, total)
 	for k, l := range lists {
 		mo.candSite = append(mo.candSite, l...)
@@ -418,76 +159,10 @@ func (mo *Model) buildCandidates() {
 	}
 }
 
-// FromProblem converts a dense instance into the sparse representation
-// (zero read/write entries dropped), revalidating through NewModel. The
-// distance matrix is shared. Differential tests assert the derived caches
-// (D′, V′_k, traffic totals) match the dense ones exactly.
-func FromProblem(p *core.Problem) (*Model, error) {
-	m, n := p.Sites(), p.Objects()
-	cfg := Config{
-		Sizes:      make([]int64, n),
-		Capacities: make([]int64, m),
-		Primaries:  make([]int32, n),
-		Dist:       p.Dist(),
-	}
-	for k := 0; k < n; k++ {
-		cfg.Sizes[k] = p.Size(k)
-		cfg.Primaries[k] = int32(p.Primary(k))
-	}
-	for i := 0; i < m; i++ {
-		cfg.Capacities[i] = p.Capacity(i)
-	}
-	cfg.Reads.Off = make([]int32, n+1)
-	cfg.Writes.Off = make([]int32, n+1)
-	for k := 0; k < n; k++ {
-		for i := 0; i < m; i++ {
-			if r := p.Reads(i, k); r > 0 {
-				cfg.Reads.Site = append(cfg.Reads.Site, int32(i))
-				cfg.Reads.Cnt = append(cfg.Reads.Cnt, r)
-			}
-			if w := p.Writes(i, k); w > 0 {
-				cfg.Writes.Site = append(cfg.Writes.Site, int32(i))
-				cfg.Writes.Cnt = append(cfg.Writes.Cnt, w)
-			}
-		}
-		cfg.Reads.Off[k+1] = int32(len(cfg.Reads.Site))
-		cfg.Writes.Off[k+1] = int32(len(cfg.Writes.Site))
-	}
-	return NewModel(cfg)
-}
-
-// Sites returns M.
-func (mo *Model) Sites() int { return mo.m }
-
-// Objects returns N.
-func (mo *Model) Objects() int { return mo.n }
-
-// Size returns o_k.
-func (mo *Model) Size(k int) int64 { return mo.size[k] }
-
-// Capacity returns s(i).
-func (mo *Model) Capacity(i int) int64 { return mo.cap[i] }
-
-// Primary returns SP_k.
-func (mo *Model) Primary(k int) int32 { return mo.primary[k] }
-
-// PrimaryLoad returns the storage the primary copies pin at site i.
-func (mo *Model) PrimaryLoad(i int) int64 { return mo.primaryLoad[i] }
-
-// TotalReads returns Σ_i r_k(i).
-func (mo *Model) TotalReads(k int) int64 { return mo.totalReads[k] }
-
-// TotalWrites returns Σ_i w_k(i).
-func (mo *Model) TotalWrites(k int) int64 { return mo.totalWrites[k] }
-
-// DPrime returns the NTC of the primaries-only allocation.
-func (mo *Model) DPrime() int64 { return mo.dPrime }
-
-// VPrime returns the per-object NTC of the primaries-only allocation.
-func (mo *Model) VPrime(k int) int64 { return mo.vPrime[k] }
-
-// Dist exposes the distance matrix (read-only by convention).
-func (mo *Model) Dist() *netsim.DistMatrix { return mo.dist }
+// FromProblem builds the sparse model of a dense instance. The problem's
+// already-validated core.Instance — CSR patterns with zero entries dropped,
+// distances, derived caches — is shared, not rebuilt.
+func FromProblem(p *core.Problem) *Model { return newModel(p.Instance) }
 
 // Candidates returns object k's candidate sites, ascending, primary
 // included — a view into the pooled array; callers must not modify it.
@@ -498,31 +173,3 @@ func (mo *Model) Candidates(k int) []int32 {
 // CandidateCount returns the total candidate-list length across objects
 // (the solver's search-space size after pruning).
 func (mo *Model) CandidateCount() int { return len(mo.candSite) }
-
-// ReadEntries returns object k's reader sites and counts as views into the
-// pooled CSR arrays.
-func (mo *Model) ReadEntries(k int) ([]int32, []int64) {
-	lo, hi := mo.reads.Range(k)
-	return mo.reads.Site[lo:hi], mo.reads.Cnt[lo:hi]
-}
-
-// WriteEntries returns object k's writer sites and counts.
-func (mo *Model) WriteEntries(k int) ([]int32, []int64) {
-	lo, hi := mo.writes.Range(k)
-	return mo.writes.Site[lo:hi], mo.writes.Cnt[lo:hi]
-}
-
-// AccessEntries returns the pooled entry totals (reads, writes) — the
-// instance's nnz, reported by the bench trajectory.
-func (mo *Model) AccessEntries() (int, int) {
-	return len(mo.reads.Site), len(mo.writes.Site)
-}
-
-// Savings converts a cost into the paper's quality metric: percent of the
-// primaries-only NTC saved.
-func (mo *Model) Savings(cost int64) float64 {
-	if mo.dPrime == 0 {
-		return 0
-	}
-	return 100 * float64(mo.dPrime-cost) / float64(mo.dPrime)
-}

@@ -18,10 +18,7 @@ func TestFromProblemEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		mo, err := FromProblem(p)
-		if err != nil {
-			t.Fatalf("seed %d: FromProblem: %v", seed, err)
-		}
+		mo := FromProblem(p)
 		if mo.Sites() != p.Sites() || mo.Objects() != p.Objects() {
 			t.Fatalf("seed %d: dims %d×%d, want %d×%d", seed, mo.Sites(), mo.Objects(), p.Sites(), p.Objects())
 		}
@@ -47,10 +44,7 @@ func TestFromProblemEquivalence(t *testing.T) {
 func TestModelRoundTrip(t *testing.T) {
 	mo := testModel(t, 12, 40, 7)
 	p := denseFromModel(t, mo)
-	back, err := FromProblem(p)
-	if err != nil {
-		t.Fatalf("round trip: %v", err)
-	}
+	back := FromProblem(p)
 	if back.DPrime() != mo.DPrime() {
 		t.Fatalf("round-trip D′ %d, want %d", back.DPrime(), mo.DPrime())
 	}
@@ -63,19 +57,19 @@ func TestModelRoundTrip(t *testing.T) {
 
 // validConfig builds a minimal well-formed 2-site, 2-object config for the
 // validation table to corrupt.
-func validConfig() Config {
+func validConfig() core.InstanceConfig {
 	d := netsim.NewDistMatrix(2)
 	d.Set(0, 1, 3)
-	return Config{
+	return core.InstanceConfig{
 		Sizes:      []int64{5, 7},
 		Capacities: []int64{20, 20},
 		Primaries:  []int32{0, 1},
-		Reads: CSR{
+		Reads: core.CSR{
 			Off:  []int32{0, 1, 2},
 			Site: []int32{1, 0},
 			Cnt:  []int64{4, 9},
 		},
-		Writes: CSR{
+		Writes: core.CSR{
 			Off:  []int32{0, 0, 1},
 			Site: []int32{0},
 			Cnt:  []int64{2},
@@ -90,34 +84,34 @@ func TestNewModelValidation(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
-		corrupt func(*Config)
+		corrupt func(*core.InstanceConfig)
 		want    string
 	}{
-		{"nil dist", func(c *Config) { c.Dist = nil }, "nil distance"},
-		{"no objects", func(c *Config) {
+		{"nil dist", func(c *core.InstanceConfig) { c.Dist = nil }, "nil distance"},
+		{"no objects", func(c *core.InstanceConfig) {
 			c.Sizes = nil
 			c.Primaries = nil
-			c.Reads = CSR{Off: []int32{0}}
-			c.Writes = CSR{Off: []int32{0}}
+			c.Reads = core.CSR{Off: []int32{0}}
+			c.Writes = core.CSR{Off: []int32{0}}
 		}, "no objects"},
-		{"capacity count", func(c *Config) { c.Capacities = c.Capacities[:1] }, "capacities"},
-		{"primary count", func(c *Config) { c.Primaries = c.Primaries[:1] }, "primaries"},
-		{"non-positive size", func(c *Config) { c.Sizes[0] = 0 }, "non-positive size"},
-		{"negative capacity", func(c *Config) { c.Capacities[1] = -1 }, "negative capacity"},
-		{"primary range", func(c *Config) { c.Primaries[0] = 5 }, "out-of-range primary"},
-		{"primary fit", func(c *Config) { c.Capacities[0] = 1 }, "infeasible"},
-		{"offset length", func(c *Config) { c.Reads.Off = c.Reads.Off[:2] }, "offsets have length"},
-		{"offset start", func(c *Config) { c.Reads.Off[0] = 1 }, "start at 0"},
-		{"offset end", func(c *Config) { c.Reads.Off[2] = 1 }, "entries exist"},
-		{"offset decrease", func(c *Config) { c.Reads.Off[1] = 2; c.Reads.Off[2] = 1 }, "entries exist"},
-		{"ragged counts", func(c *Config) { c.Writes.Cnt = c.Writes.Cnt[:0] }, "counts"},
-		{"site range", func(c *Config) { c.Reads.Site[0] = 9 }, "references site"},
-		{"site order", func(c *Config) {
+		{"capacity count", func(c *core.InstanceConfig) { c.Capacities = c.Capacities[:1] }, "capacities"},
+		{"primary count", func(c *core.InstanceConfig) { c.Primaries = c.Primaries[:1] }, "primaries"},
+		{"non-positive size", func(c *core.InstanceConfig) { c.Sizes[0] = 0 }, "non-positive size"},
+		{"negative capacity", func(c *core.InstanceConfig) { c.Capacities[1] = -1 }, "negative capacity"},
+		{"primary range", func(c *core.InstanceConfig) { c.Primaries[0] = 5 }, "out-of-range primary"},
+		{"primary fit", func(c *core.InstanceConfig) { c.Capacities[0] = 1 }, "infeasible"},
+		{"offset length", func(c *core.InstanceConfig) { c.Reads.Off = c.Reads.Off[:2] }, "offsets have length"},
+		{"offset start", func(c *core.InstanceConfig) { c.Reads.Off[0] = 1 }, "start at 0"},
+		{"offset end", func(c *core.InstanceConfig) { c.Reads.Off[2] = 1 }, "entries exist"},
+		{"offset decrease", func(c *core.InstanceConfig) { c.Reads.Off[1] = 2; c.Reads.Off[2] = 1 }, "entries exist"},
+		{"ragged counts", func(c *core.InstanceConfig) { c.Writes.Cnt = c.Writes.Cnt[:0] }, "counts"},
+		{"site range", func(c *core.InstanceConfig) { c.Reads.Site[0] = 9 }, "references site"},
+		{"site order", func(c *core.InstanceConfig) {
 			c.Reads.Off = []int32{0, 2, 2}
 			c.Reads.Site = []int32{1, 1}
 			c.Reads.Cnt = []int64{4, 9}
 		}, "strictly ascending"},
-		{"negative count", func(c *Config) { c.Reads.Cnt[0] = -4 }, "negative count"},
+		{"negative count", func(c *core.InstanceConfig) { c.Reads.Cnt[0] = -4 }, "negative count"},
 	}
 	for _, tc := range cases {
 		cfg := validConfig()
@@ -138,16 +132,16 @@ func TestNewModelValidation(t *testing.T) {
 // instances, and at the largest accepted magnitude the evaluator's sum is
 // still exact.
 func TestOverflowGateBoundary(t *testing.T) {
-	build := func(readCount int64) (Config, core.Config) {
+	build := func(readCount int64) (core.InstanceConfig, core.Config) {
 		d := netsim.NewDistMatrix(2)
 		d.Set(0, 1, 1)
 		size := int64(1) << 31
-		sc := Config{
+		sc := core.InstanceConfig{
 			Sizes:      []int64{size},
 			Capacities: []int64{size, size},
 			Primaries:  []int32{0},
-			Reads:      CSR{Off: []int32{0, 1}, Site: []int32{1}, Cnt: []int64{readCount}},
-			Writes:     CSR{Off: []int32{0, 0}},
+			Reads:      core.CSR{Off: []int32{0, 1}, Site: []int32{1}, Cnt: []int64{readCount}},
+			Writes:     core.CSR{Off: []int32{0, 0}},
 			Dist:       d,
 		}
 		dc := core.Config{
@@ -200,10 +194,7 @@ func TestCandidatesContainOptimal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: generate: %v", seed, err)
 		}
-		mo, err := FromProblem(p)
-		if err != nil {
-			t.Fatalf("seed %d: FromProblem: %v", seed, err)
-		}
+		mo := FromProblem(p)
 		opt, err := baseline.Optimal(p, 16)
 		if err != nil {
 			t.Fatalf("seed %d: optimal: %v", seed, err)
@@ -211,7 +202,7 @@ func TestCandidatesContainOptimal(t *testing.T) {
 		for k := 0; k < p.Objects(); k++ {
 			cand := mo.Candidates(k)
 			for _, i := range opt.Replicators(k) {
-				if _, found := search(cand, int32(i)); !found {
+				if _, found := core.SearchSites(cand, int32(i)); !found {
 					t.Fatalf("seed %d: optimum replicates object %d at pruned site %d (candidates %v)", seed, k, i, cand)
 				}
 			}
@@ -241,8 +232,8 @@ func TestCandidatePruningEquivariance(t *testing.T) {
 				d.Set(a, b, mo.Dist().At(perm[a], perm[b]))
 			}
 		}
-		cfg := Config{
-			Sizes:      mo.size,
+		cfg := core.InstanceConfig{
+			Sizes:      make([]int64, n),
 			Capacities: make([]int64, m),
 			Primaries:  make([]int32, n),
 			Dist:       d,
@@ -269,6 +260,7 @@ func TestCandidatePruningEquivariance(t *testing.T) {
 			return out
 		}
 		for k := 0; k < n; k++ {
+			cfg.Sizes[k] = mo.Size(k)
 			cfg.Primaries[k] = inv[mo.Primary(k)]
 			rs, rc := mo.ReadEntries(k)
 			for _, e := range remap(rs, rc) {
@@ -318,18 +310,18 @@ func TestCapacityReachabilityPrune(t *testing.T) {
 	d.Set(0, 1, 5)
 	d.Set(0, 2, 5)
 	d.Set(1, 2, 5)
-	cfg := Config{
+	cfg := core.InstanceConfig{
 		Sizes:      []int64{10, 4},
 		Capacities: []int64{10, 12, 20},
 		Primaries:  []int32{0, 1},
 		// Both objects heavily read everywhere, so traffic alone would keep
 		// every site.
-		Reads: CSR{
+		Reads: core.CSR{
 			Off:  []int32{0, 3, 6},
 			Site: []int32{0, 1, 2, 0, 1, 2},
 			Cnt:  []int64{50, 50, 50, 50, 50, 50},
 		},
-		Writes: CSR{Off: []int32{0, 0, 0}},
+		Writes: core.CSR{Off: []int32{0, 0, 0}},
 		Dist:   d,
 	}
 	mo, err := NewModel(cfg)
@@ -339,11 +331,11 @@ func TestCapacityReachabilityPrune(t *testing.T) {
 	// Object 0 (size 10) cannot reach site 0's free space beyond its own
 	// primary load (10 of 10 used)… it IS the primary there. Site 1 has
 	// capacity 12 with primary load 4: object 0 does not fit (4+10 > 12).
-	if _, found := search(mo.Candidates(0), 1); found {
+	if _, found := core.SearchSites(mo.Candidates(0), 1); found {
 		t.Fatalf("object 0 candidates %v include unreachable site 1", mo.Candidates(0))
 	}
 	// Site 2 (capacity 20, no primaries) fits and the read traffic pays.
-	if _, found := search(mo.Candidates(0), 2); !found {
+	if _, found := core.SearchSites(mo.Candidates(0), 2); !found {
 		t.Fatalf("object 0 candidates %v miss reachable site 2", mo.Candidates(0))
 	}
 }

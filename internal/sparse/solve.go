@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 
+	"drp/internal/core"
 	"drp/internal/parallel"
 	"drp/internal/solver"
 )
@@ -80,14 +81,14 @@ type proposal struct {
 func Solve(mo *Model, params SolveParams, run solver.Run) (*Result, error) {
 	c := solver.Start("sparse", run)
 	a := NewAssignment(mo)
-	props := make([]proposal, mo.n)
-	objects := make([]int, mo.n)
+	props := make([]proposal, mo.Objects())
+	objects := make([]int, mo.Objects())
 	for k := range objects {
 		objects[k] = k
 	}
 	propose(mo, objects, props, params, c)
-	c.Observe(0, 0, 0, mo.dPrime)
-	res := merge(mo, a, mo.dPrime, objects, props, c)
+	c.Observe(0, 0, 0, mo.DPrime())
+	res := merge(mo, a, mo.DPrime(), objects, props, c)
 	return res, nil
 }
 
@@ -101,25 +102,25 @@ func Adapt(mo *Model, a *Assignment, changed []int, params SolveParams, run solv
 	seen := make(map[int]bool, len(changed))
 	objects := make([]int, 0, len(changed))
 	for _, k := range changed {
-		if k < 0 || k >= mo.n {
-			return nil, fmt.Errorf("sparse: changed object %d out of range [0,%d)", k, mo.n)
+		if k < 0 || k >= mo.Objects() {
+			return nil, fmt.Errorf("sparse: changed object %d out of range [0,%d)", k, mo.Objects())
 		}
 		if !seen[k] {
 			seen[k] = true
 			objects = append(objects, k)
 		}
 	}
-	pool := NewEvalPool(mo, params.Shards)
+	pool := core.NewEvalPool(mo.Instance, params.Shards)
 	pool.SetMeter(c.Meter())
-	cost := pool.Cost(a)
+	cost := pool.Cost(a.repl)
 	// Strip the changed objects to primary-only; the cost moves to their
 	// V′_k and the ledger releases their storage.
 	ev := pool.Evaluator()
 	for _, k := range objects {
-		cost += mo.vPrime[k] - ev.ObjectCost(k, a.repl[k])
+		cost += mo.VPrime(k) - ev.ObjectCost(k, a.repl[k])
 		repl := append([]int32(nil), a.repl[k]...)
 		for _, i := range repl {
-			if i != mo.primary[k] {
+			if i != mo.Primary(k) {
 				if err := a.Remove(int(i), k); err != nil {
 					return nil, err
 				}
@@ -144,7 +145,7 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 	case maxAdds == 0:
 		maxAdds = DefaultMaxReplicas - 1
 	case maxAdds < 0:
-		maxAdds = mo.m
+		maxAdds = mo.Sites()
 	default:
 		maxAdds--
 	}
@@ -165,10 +166,11 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 			c.Charge(1)
 			return // only the primary: nothing to propose
 		}
-		sp := int(mo.primary[k])
-		ok := mo.size[k]
-		wTot := mo.totalWrites[k]
-		spRow := mo.dist.Row(sp)
+		sp := int(mo.Primary(k))
+		ok := mo.Size(k)
+		wTot := mo.TotalWrites(k)
+		dist := mo.Dist()
+		spRow := dist.Row(sp)
 		rs, rc := mo.ReadEntries(k)
 		ws, wc := mo.WriteEntries(k)
 		if cap(sc.dmin) < len(rs) {
@@ -195,7 +197,7 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 				if inRepl[ci] {
 					continue
 				}
-				row := mo.dist.Row(int(x))
+				row := dist.Row(int(x))
 				// Fan-in the new replica starts paying, minus the write
 				// shipping and read traffic site x stops paying, minus the
 				// read-distance drops of the other non-replicator readers.
@@ -227,7 +229,7 @@ func propose(mo *Model, objects []int, props []proposal, params SolveParams, c *
 			}
 			x := cand[bestCI]
 			inRepl[bestCI] = true
-			row := mo.dist.Row(int(x))
+			row := dist.Row(int(x))
 			for j, site := range rs {
 				if d := row[site]; d < dmin[j] {
 					dmin[j] = d
@@ -344,7 +346,7 @@ func entryFor(mo *Model, objects []int, props []proposal, idx, step int) ledgerE
 	return ledgerEntry{
 		obj:     idx,
 		step:    step,
-		density: float64(benefit) / float64(mo.size[k]),
+		density: float64(benefit) / float64(mo.Size(k)),
 		benefit: benefit,
 	}
 }

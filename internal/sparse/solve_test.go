@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"drp/internal/core"
 	"drp/internal/solver"
 )
 
@@ -290,21 +291,19 @@ func TestPerturbDeterminismAndIsolation(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesDeltaDescent cross-checks the greedy proposal deltas: on
-// an uncontended instance (capacities never bind during the merge), every
-// applied step's delta must equal the dense-mirroring delta evaluator's
-// prediction for the same (site, object) in the same order.
+// TestSolveCostAgainstDeltaEvaluator checks the solver's incrementally
+// maintained cost: replaying the final assignment's replicas through the
+// delta evaluator from the primaries-only allocation must land on exactly
+// the cost the solver reports.
 func TestSolveCostAgainstDeltaEvaluator(t *testing.T) {
 	mo := testModel(t, 10, 40, 6)
 	res, err := Solve(mo, SolveParams{Shards: 1}, solver.Run{})
 	if err != nil {
 		t.Fatalf("solve: %v", err)
 	}
-	// Replay the final assignment through the delta evaluator: summing
-	// AddDelta along any order that reconstructs it must land on the same
-	// cost (deltas are exact, order-dependent individually but the final
-	// cost is a state function).
-	replay := NewDeltaEvaluator(NewAssignment(mo))
+	// Cost is a state function, so any replay order that reconstructs the
+	// assignment must reach the same value.
+	replay := core.NewDeltaEvaluator(NewAssignment(mo))
 	for k := 0; k < mo.Objects(); k++ {
 		for _, i := range res.Assignment.Replicators(k) {
 			if i == mo.Primary(k) {

@@ -18,35 +18,42 @@ import (
 )
 
 // naiveCost is eq. 4 written as directly as possible — the slow oracle the
-// optimised evaluator must match term for term.
+// optimised evaluators must match term for term.
 func naiveCost(p *core.Problem, s *core.Scheme) int64 {
 	var d int64
-	for i := 0; i < p.Sites(); i++ {
-		for k := 0; k < p.Objects(); k++ {
-			sp := p.Primary(k)
-			if s.Has(i, k) {
-				// X_ik = 1: the replicator pays the full update fan-in
-				// Σ_x w_k(x) · o_k · C(i, SP_k).
-				var wTot int64
-				for x := 0; x < p.Sites(); x++ {
-					wTot += p.Writes(x, k)
-				}
-				d += wTot * p.Size(k) * p.Cost(i, sp)
-				continue
-			}
-			// X_ik = 0: nearest-replica reads plus primary-shipped writes.
-			minC := int64(-1)
-			for j := 0; j < p.Sites(); j++ {
-				if s.Has(j, k) {
-					if c := p.Cost(i, j); minC < 0 || c < minC {
-						minC = c
-					}
-				}
-			}
-			d += p.Reads(i, k)*p.Size(k)*minC + p.Writes(i, k)*p.Size(k)*p.Cost(i, sp)
-		}
+	for k := 0; k < p.Objects(); k++ {
+		d += naiveObjectCost(p, s, k)
 	}
 	return d
+}
+
+// naiveObjectCost is object k's share V_k of the literal eq. 4 sum.
+func naiveObjectCost(p *core.Problem, s *core.Scheme, k int) int64 {
+	var v int64
+	sp := p.Primary(k)
+	for i := 0; i < p.Sites(); i++ {
+		if s.Has(i, k) {
+			// X_ik = 1: the replicator pays the full update fan-in
+			// Σ_x w_k(x) · o_k · C(i, SP_k).
+			var wTot int64
+			for x := 0; x < p.Sites(); x++ {
+				wTot += p.Writes(x, k)
+			}
+			v += wTot * p.Size(k) * p.Cost(i, sp)
+			continue
+		}
+		// X_ik = 0: nearest-replica reads plus primary-shipped writes.
+		minC := int64(-1)
+		for j := 0; j < p.Sites(); j++ {
+			if s.Has(j, k) {
+				if c := p.Cost(i, j); minC < 0 || c < minC {
+					minC = c
+				}
+			}
+		}
+		v += p.Reads(i, k)*p.Size(k)*minC + p.Writes(i, k)*p.Size(k)*p.Cost(i, sp)
+	}
+	return v
 }
 
 // checkEq4Oracle: the production evaluator agrees with the naive oracle on
@@ -125,7 +132,7 @@ func checkPoolParity(cx *Ctx) error {
 		serial[b] = ev.Cost(batch[b])
 	}
 	for _, w := range poolWorkerCounts {
-		costs := core.NewEvalPool(p, w).Costs(batch)
+		costs := core.NewEvalPool(p.Instance, w).Costs(batch)
 		for b := range costs {
 			if costs[b] != serial[b] {
 				return fmt.Errorf("worker count %d: chromosome %d cost %d != serial %d", w, b, costs[b], serial[b])

@@ -1,14 +1,16 @@
 package verify
 
 // Differential and property checks for the internal/sparse solver core.
-// Wherever the dense and sparse paths both apply they must agree
-// bit-for-bit: full evaluation, delta evaluation and pooled evaluation are
-// compared against the dense implementations on random schemes and mutation
-// walks, the sharded solve is held shard-count-invariant, and the candidate
-// pruning is checked against the exhaustive optimum (soundness) and under
-// site relabelling (equivariance). Registering the checks here puts the
-// sparse core under the same drpverify soak + ddmin shrinker as eq. 4
-// itself.
+// The sparse adapters — Evaluator.Cost over an Assignment, pooled
+// per-object costs over its replica lists, and the shared delta evaluator
+// tracking an Assignment — are held to the literal eq. 4 oracle and to full
+// re-evaluation on random schemes and mutation walks (dense and sparse
+// share one kernel, so comparing them against each other could no longer
+// catch a kernel bug). The sharded solve is held shard-count-invariant,
+// and the candidate pruning is checked against the exhaustive optimum
+// (soundness) and under site relabelling (equivariance). Registering the
+// checks here puts the sparse core under the same drpverify soak + ddmin
+// shrinker as eq. 4 itself.
 
 import (
 	"fmt"
@@ -19,19 +21,15 @@ import (
 	"drp/internal/sparse"
 )
 
-// sparseWorkerCounts are the pool fan-outs the sparse-eval check compares
-// against serial sparse evaluation (and against the dense evaluator).
+// sparseWorkerCounts are the pool fan-outs the sparse-eval check runs.
 var sparseWorkerCounts = []int{1, 2, 8}
 
-// checkSparseEval: the sparse evaluator — serial and pooled at several
-// worker counts — agrees with the dense evaluator on random schemes, object
-// by object and in total.
+// checkSparseEval: the sparse evaluator and the pool over an assignment's
+// replica lists — serial and at several worker counts — agree with the
+// literal eq. 4 oracle on random schemes, object by object and in total.
 func checkSparseEval(cx *Ctx) error {
 	p := cx.P
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return fmt.Errorf("sparse conversion: %w", err)
-	}
+	mo := sparse.FromProblem(p)
 	ev := sparse.NewEvaluator(mo)
 	for trial := 0; trial < 4; trial++ {
 		s := randomScheme(p, cx.RNG)
@@ -39,24 +37,25 @@ func checkSparseEval(cx *Ctx) error {
 		if err != nil {
 			return fmt.Errorf("trial %d: scheme conversion: %w", trial, err)
 		}
-		want := cx.Cost(s)
+		want := naiveCost(p, s)
 		if got := ev.Cost(a); got != want {
-			return fmt.Errorf("trial %d: sparse cost %d != dense %d (%d replicas)", trial, got, want, s.TotalReplicas())
+			return fmt.Errorf("trial %d: sparse cost %d != literal eq.4 %d (%d replicas)", trial, got, want, s.TotalReplicas())
 		}
-		for k := 0; k < p.Objects(); k++ {
-			dense := s.ObjectCost(k)
-			if got := ev.ObjectCost(k, a.Replicators(k)); got != dense {
-				return fmt.Errorf("trial %d: object %d sparse V=%d != dense %d", trial, k, got, dense)
+		wantV := make([]int64, p.Objects())
+		for k := range wantV {
+			wantV[k] = naiveObjectCost(p, s, k)
+			if got := ev.ObjectCost(k, a.Replicators(k)); got != wantV[k] {
+				return fmt.Errorf("trial %d: object %d sparse V=%d != literal %d", trial, k, got, wantV[k])
 			}
 		}
 		for _, w := range sparseWorkerCounts {
-			pool := sparse.NewEvalPool(mo, w)
-			if got := pool.Cost(a); got != want {
-				return fmt.Errorf("trial %d: pooled sparse cost %d != dense %d at %d workers", trial, got, want, w)
+			pool := core.NewEvalPool(mo.Instance, w)
+			if got := pool.Cost(a.ReplicaLists()); got != want {
+				return fmt.Errorf("trial %d: pooled sparse cost %d != literal eq.4 %d at %d workers", trial, got, want, w)
 			}
-			for k, v := range pool.ObjectCosts(a) {
-				if dense := s.ObjectCost(k); v != dense {
-					return fmt.Errorf("trial %d: pooled object %d V=%d != dense %d at %d workers", trial, k, v, dense, w)
+			for k, v := range pool.ObjectCosts(a.ReplicaLists()) {
+				if v != wantV[k] {
+					return fmt.Errorf("trial %d: pooled object %d V=%d != literal %d at %d workers", trial, k, v, wantV[k], w)
 				}
 			}
 		}
@@ -64,55 +63,59 @@ func checkSparseEval(cx *Ctx) error {
 	return nil
 }
 
-// checkSparseDelta: along one random mutation walk the dense and sparse
-// delta evaluators accept the same moves, predict identical deltas, and
-// track identical running costs, all equal to a dense full re-evaluation.
+// checkSparseDelta: along one random mutation walk over an assignment, the
+// delta evaluator accepts exactly the moves the assignment admits, its
+// predicted deltas equal the change in a full sparse re-evaluation, and its
+// running cost and cached V_k equal the literal eq. 4 oracle on the
+// equivalent dense scheme.
 func checkSparseDelta(cx *Ctx) error {
 	p := cx.P
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return fmt.Errorf("sparse conversion: %w", err)
-	}
-	s := core.NewScheme(p)
-	d := core.NewDeltaEvaluator(s)
+	mo := sparse.FromProblem(p)
 	a := sparse.NewAssignment(mo)
-	sd := sparse.NewDeltaEvaluator(a)
+	d := core.NewDeltaEvaluator(a)
+	ev := sparse.NewEvaluator(mo)
+	before := ev.Cost(a)
 	for step := 0; step < 40; step++ {
 		i, k := cx.RNG.Intn(p.Sites()), cx.RNG.Intn(p.Objects())
-		var densePred, sparsePred int64
-		var denseOK, sparseOK bool
-		removing := s.Has(i, k)
+		removing := a.Has(i, k)
+		var pred int64
+		var ok bool
+		var apply func(int, int) error
 		if removing {
-			densePred, denseOK = d.RemoveDelta(i, k)
-			sparsePred, sparseOK = sd.RemoveDelta(i, k)
+			pred, ok = d.RemoveDelta(i, k)
+			apply = d.Remove
 		} else {
-			densePred, denseOK = d.AddDelta(i, k)
-			sparsePred, sparseOK = sd.AddDelta(i, k)
+			pred, ok = d.AddDelta(i, k)
+			apply = d.Add
 		}
-		if denseOK != sparseOK {
-			return fmt.Errorf("step %d (site %d, object %d): dense accepts=%v, sparse accepts=%v", step, i, k, denseOK, sparseOK)
+		admissible := int32(i) != mo.Primary(k)
+		if !removing {
+			admissible = a.Free(i) >= p.Size(k)
 		}
-		if !denseOK {
+		if ok != admissible {
+			return fmt.Errorf("step %d (site %d, object %d, removing=%v): delta evaluator accepts=%v, assignment admits=%v",
+				step, i, k, removing, ok, admissible)
+		}
+		if !ok {
 			continue
 		}
-		if densePred != sparsePred {
-			return fmt.Errorf("step %d (site %d, object %d): dense delta %d != sparse delta %d", step, i, k, densePred, sparsePred)
+		if err := apply(i, k); err != nil {
+			return fmt.Errorf("step %d: accepted move failed to apply: %w", step, err)
 		}
-		var denseErr, sparseErr error
-		if removing {
-			denseErr, sparseErr = d.Remove(i, k), sd.Remove(i, k)
-		} else {
-			denseErr, sparseErr = d.Add(i, k), sd.Add(i, k)
+		after := ev.Cost(a)
+		if pred != after-before {
+			return fmt.Errorf("step %d (site %d, object %d): predicted delta %d != re-evaluated %d", step, i, k, pred, after-before)
 		}
-		if denseErr != nil || sparseErr != nil {
-			return fmt.Errorf("step %d: accepted move failed to apply: dense %v, sparse %v", step, denseErr, sparseErr)
+		before = after
+		s, err := a.ToScheme(p)
+		if err != nil {
+			return fmt.Errorf("step %d: assignment does not convert: %w", step, err)
 		}
-		full := cx.Cost(s)
-		if sd.Cost() != full {
-			return fmt.Errorf("step %d (site %d, object %d): sparse running cost %d != dense re-eval %d", step, i, k, sd.Cost(), full)
+		if want := naiveCost(p, s); d.Cost() != want {
+			return fmt.Errorf("step %d (site %d, object %d): running cost %d != literal eq.4 %d", step, i, k, d.Cost(), want)
 		}
-		if sd.ObjectCost(k) != s.ObjectCost(k) {
-			return fmt.Errorf("step %d: sparse V_%d=%d != dense %d", step, k, sd.ObjectCost(k), s.ObjectCost(k))
+		if want := naiveObjectCost(p, s, k); d.ObjectCost(k) != want {
+			return fmt.Errorf("step %d: cached V_%d=%d != literal %d", step, k, d.ObjectCost(k), want)
 		}
 	}
 	if err := a.Validate(); err != nil {
@@ -129,10 +132,7 @@ var sparseShardCounts = []int{1, 2, 8}
 // loses to the no-replication allocation.
 func checkSparseShards(cx *Ctx) error {
 	p := cx.P
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return fmt.Errorf("sparse conversion: %w", err)
-	}
+	mo := sparse.FromProblem(p)
 	var first *sparse.Result
 	for _, shards := range sparseShardCounts {
 		res, err := sparse.Solve(mo, sparse.SolveParams{Shards: shards}, solver.Run{})
@@ -178,16 +178,13 @@ func checkSparsePrune(cx *Ctx) error {
 	if err != nil {
 		return nil // instance larger than the exhaustive gate; skip
 	}
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return fmt.Errorf("sparse conversion: %w", err)
-	}
+	mo := sparse.FromProblem(p)
 	for k := 0; k < p.Objects(); k++ {
 		for _, i := range opt.Replicators(k) {
 			if int32(i) == mo.Primary(k) {
 				continue
 			}
-			if !containsSite(mo.Candidates(k), int32(i)) {
+			if _, ok := core.SearchSites(mo.Candidates(k), int32(i)); !ok {
 				return fmt.Errorf("object %d: optimum replicates at site %d but pruning dropped it (candidates %v)",
 					k, i, mo.Candidates(k))
 			}
@@ -233,14 +230,8 @@ func checkSparsePrunePerm(cx *Ctx) error {
 	if err != nil {
 		return fmt.Errorf("permuted instance rejected: %w", err)
 	}
-	mo, err := sparse.FromProblem(p)
-	if err != nil {
-		return fmt.Errorf("sparse conversion: %w", err)
-	}
-	mq, err := sparse.FromProblem(q)
-	if err != nil {
-		return fmt.Errorf("permuted sparse conversion: %w", err)
-	}
+	mo := sparse.FromProblem(p)
+	mq := sparse.FromProblem(q)
 	for k := 0; k < n; k++ {
 		orig := mo.Candidates(k)
 		want := make(map[int32]bool, len(orig))
@@ -259,17 +250,4 @@ func checkSparsePrunePerm(cx *Ctx) error {
 		}
 	}
 	return nil
-}
-
-// containsSite reports membership in an ascending candidate list.
-func containsSite(list []int32, site int32) bool {
-	for _, s := range list {
-		if s == site {
-			return true
-		}
-		if s > site {
-			return false
-		}
-	}
-	return false
 }

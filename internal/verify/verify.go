@@ -95,8 +95,8 @@ func Checks() []Check {
 		{Name: "solver-sanity", Doc: "SRA/GRA/AGRA schemes validate, beat no-replication, and are seed-deterministic", Run: checkSolverSanity},
 		{Name: "optimal-gap", Doc: "heuristic costs are never below the exhaustive optimum", Small: true, Run: checkOptimalGap},
 		{Name: "optimal-capacity", Doc: "relaxing capacities never worsens the exhaustive optimum", Small: true, Run: checkOptimalCapacity},
-		{Name: "sparse-eval", Doc: "sparse evaluator (serial and pooled) is bit-identical to the dense evaluator", Run: checkSparseEval},
-		{Name: "sparse-delta", Doc: "sparse delta evaluator matches the dense one along random mutation walks", Run: checkSparseDelta},
+		{Name: "sparse-eval", Doc: "sparse evaluator (serial and pooled) matches the literal eq. 4 oracle", Run: checkSparseEval},
+		{Name: "sparse-delta", Doc: "delta evaluator over an assignment matches re-evaluation and eq. 4 along random walks", Run: checkSparseDelta},
 		{Name: "sparse-shards", Doc: "sharded sparse solve is bit-identical at shard counts 1/2/8", Run: checkSparseShards},
 		{Name: "sparse-prune", Doc: "candidate pruning keeps every site the exhaustive optimum uses", Small: true, Run: checkSparsePrune},
 		{Name: "sparse-prune-perm", Doc: "candidate pruning is equivariant under site relabelling", Run: checkSparsePrunePerm},
