@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -365,14 +366,15 @@ func run(args []string, stdout io.Writer) (err error) {
 }
 
 // gateSLO evaluates a latency SLO against the drp_net_request_seconds
-// histograms and fails the run when it is unmet.
+// histograms and fails the run when it is unmet. Quantiles round up to
+// whole nanoseconds, so the gate, like the histogram, never understates.
 func gateSLO(slo *load.SLO, reg *metrics.Registry, stdout io.Writer) error {
 	if slo == nil {
 		return nil
 	}
-	out := slo.EvalQuantiles(func(op string, p float64) int64 {
+	out := slo.EvalQuantiles(func(op string, p float64) float64 {
 		h := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": op})
-		return int64(h.Quantile(p) * 1e9)
+		return math.Ceil(h.Quantile(p) * 1e9)
 	})
 	verdict := "PASS"
 	if !out.Pass {

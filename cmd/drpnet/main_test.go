@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"drp/internal/load"
+	"drp/internal/metrics"
 )
 
 func TestNetRunSRA(t *testing.T) {
@@ -152,5 +156,37 @@ func TestNetRunSLOGate(t *testing.T) {
 	// The membership scenario has no single measurement period to gate.
 	if err := run([]string{"-sites", "4", "-objects", "6", "-members", "0,1,2,3", "-slo", "p99<5s"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-slo with membership scenario accepted")
+	}
+}
+
+// gatedRegistry holds the drp_net_request_seconds family with n reads of
+// v seconds each.
+func gatedRegistry(v float64, n int) *metrics.Registry {
+	reg := metrics.NewRegistry()
+	for _, op := range []string{"read", "write"} {
+		reg.Histogram("drp_net_request_seconds", "", metrics.LatencyBuckets(), metrics.Labels{"op": op})
+	}
+	h := reg.Histogram("drp_net_request_seconds", "", nil, metrics.Labels{"op": "read"})
+	for i := 0; i < n; i++ {
+		h.Observe(v)
+	}
+	return reg
+}
+
+// TestGateSLONeverUnderstates pins the gate to the histogram's
+// never-understate quantile: a 10s p99 past the le ladder's 4s top must
+// fail p99<5s, and a quantile between two nanoseconds rounds up.
+func TestGateSLONeverUnderstates(t *testing.T) {
+	slo, _ := load.ParseSLO("p99<5s")
+	var out bytes.Buffer
+	if err := gateSLO(slo, gatedRegistry(10, 100), &out); err == nil {
+		t.Fatalf("10s p99 passed p99<5s:\n%s", out.String())
+	}
+	// 2^-13 s is 122070.3125ns, a bucket edge: the gate must see 122071ns,
+	// where truncation would see 122070ns and pass.
+	slo, _ = load.ParseSLO("read.p99<122071ns")
+	out.Reset()
+	if err := gateSLO(slo, gatedRegistry(math.Ldexp(1, -13), 100), &out); err == nil {
+		t.Fatalf("fractional-nanosecond quantile truncated:\n%s", out.String())
 	}
 }

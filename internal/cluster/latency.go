@@ -1,6 +1,10 @@
 package cluster
 
-import "sort"
+import (
+	"sort"
+
+	"drp/internal/metrics"
+)
 
 // costHist accumulates per-read transfer costs so percentiles can be
 // reported without retaining every sample. Costs are small integers
@@ -20,8 +24,9 @@ func (h *costHist) add(cost int64) {
 	h.total++
 }
 
-// percentile returns the smallest cost c such that at least q (0..1) of
-// the samples are ≤ c. Zero samples yield 0.
+// percentile returns the cost of rank ⌈q·n⌉ (metrics.Rank): the smallest
+// c such that at least q (0..1) of the samples are ≤ c. Zero samples
+// yield 0.
 func (h *costHist) percentile(q float64) int64 {
 	if h.total == 0 {
 		return 0
@@ -31,10 +36,7 @@ func (h *costHist) percentile(q float64) int64 {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	threshold := int64(q*float64(h.total) + 0.5)
-	if threshold < 1 {
-		threshold = 1
-	}
+	threshold := int64(metrics.Rank(q, int(h.total)))
 	var seen int64
 	for _, k := range keys {
 		seen += h.counts[k]

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"drp/internal/metrics"
 )
 
 // Report is one run's canonical outcome record — what drpload prints as
@@ -57,6 +59,40 @@ type Report struct {
 	Metrics *MetricsCheck `json:"metrics,omitempty"`
 }
 
+// Summary is the fixed quantile ladder a report prints for one op.
+type Summary struct {
+	Count  int64   `json:"count"`
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P90MS  float64 `json:"p90_ms"`
+	P99MS  float64 `json:"p99_ms"`
+	P999MS float64 `json:"p999_ms"`
+	MaxMS  float64 `json:"max_ms"`
+}
+
+// summarize freezes a nanosecond latency histogram into the report's
+// quantile ladder.
+func summarize(h *metrics.Histogram) Summary {
+	s := Summary{
+		Count:  int64(h.Count()),
+		P50MS:  h.Quantile(0.50) / 1e6,
+		P90MS:  h.Quantile(0.90) / 1e6,
+		P99MS:  h.Quantile(0.99) / 1e6,
+		P999MS: h.Quantile(0.999) / 1e6,
+		MaxMS:  h.Max() / 1e6,
+	}
+	if s.Count > 0 {
+		s.MeanMS = h.Sum() / float64(s.Count) / 1e6
+	}
+	return s
+}
+
+// String renders the summary for terminal output.
+func (s Summary) String() string {
+	return fmt.Sprintf("n=%d mean=%.3fms p50=%.3fms p90=%.3fms p99=%.3fms p99.9=%.3fms max=%.3fms",
+		s.Count, s.MeanMS, s.P50MS, s.P90MS, s.P99MS, s.P999MS, s.MaxMS)
+}
+
 // BuildReport assembles a report from a run. slo may be nil (vacuous
 // pass) and mc may be nil (no registry attached).
 func BuildReport(scheme string, pr Profile, sched *Schedule, res *Result, slo *SLO, mc *MetricsCheck) *Report {
@@ -66,8 +102,8 @@ func BuildReport(scheme string, pr Profile, sched *Schedule, res *Result, slo *S
 		Objects:        sched.Objects,
 		Profile:        pr,
 		ScheduleDigest: res.Digest,
-		Read:           res.ReadHist.Summarize(),
-		Write:          res.WriteHist.Summarize(),
+		Read:           summarize(res.ReadHist),
+		Write:          summarize(res.WriteHist),
 		OfferedRPS:     res.Offered,
 		AchievedRPS:    res.Achieved,
 		ElapsedMS:      float64(res.Elapsed.Nanoseconds()) / 1e6,

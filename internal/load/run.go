@@ -46,9 +46,9 @@ const errSample = 5
 
 // Result is one run's measured outcome.
 type Result struct {
-	// ReadHist/WriteHist record successful request latencies from the
-	// intended send time (coordinated-omission-safe).
-	ReadHist, WriteHist *Hist
+	// ReadHist/WriteHist record successful request latencies in
+	// nanoseconds from the intended send time (coordinated-omission-safe).
+	ReadHist, WriteHist *metrics.Histogram
 	// ReadsOK/WritesOK count requests served (including degraded serves
 	// like failover reads and partial-broadcast writes).
 	ReadsOK, WritesOK int64
@@ -81,9 +81,9 @@ func (r *Result) Requests() int64 {
 // NTC returns the total transfer cost accounted to the run.
 func (r *Result) NTC() int64 { return r.NTCRead + r.NTCWrite }
 
-// worker-local tallies, merged after the pool drains.
+// worker-local tallies, merged after the pool drains; latencies go
+// straight into the result's shared histograms.
 type tally struct {
-	readHist, writeHist       *Hist
 	readsOK, writesOK         int64
 	readsFailed, writesQueued int64
 	unexplained               int64
@@ -117,6 +117,11 @@ func Run(target Target, sched *Schedule, opts Options) (*Result, error) {
 	// on a slow system — blocking the dispatcher would turn the harness
 	// closed-loop exactly when the measurement matters most.
 	queue := make(chan timed, len(sched.Requests))
+	res := &Result{
+		ReadHist:  metrics.NewHistogram(),
+		WriteHist: metrics.NewHistogram(),
+		Digest:    sched.Digest(),
+	}
 	tallies := make([]*tally, workers)
 	var lastDone struct {
 		sync.Mutex
@@ -125,7 +130,7 @@ func Run(target Target, sched *Schedule, opts Options) (*Result, error) {
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		tl := &tally{readHist: NewHist(), writeHist: NewHist()}
+		tl := &tally{}
 		tallies[w] = tl
 		wg.Add(1)
 		go func() {
@@ -139,17 +144,17 @@ func Run(target Target, sched *Schedule, opts Options) (*Result, error) {
 					cost, err = target.Read(item.req.Site, item.req.Obj)
 				}
 				done := time.Now()
-				latency := done.Sub(item.intended).Nanoseconds()
+				latency := float64(done.Sub(item.intended).Nanoseconds())
 				switch {
 				case err == nil:
 					if item.req.Write {
 						tl.writesOK++
 						tl.ntcWrite += cost
-						tl.writeHist.Record(latency)
+						res.WriteHist.Observe(latency)
 					} else {
 						tl.readsOK++
 						tl.ntcRead += cost
-						tl.readHist.Record(latency)
+						res.ReadHist.Observe(latency)
 					}
 				case errors.Is(err, netnode.ErrNoReplica):
 					tl.readsFailed++
@@ -183,14 +188,7 @@ func Run(target Target, sched *Schedule, opts Options) (*Result, error) {
 	close(queue)
 	wg.Wait()
 
-	res := &Result{
-		ReadHist:  NewHist(),
-		WriteHist: NewHist(),
-		Digest:    sched.Digest(),
-	}
 	for _, tl := range tallies {
-		res.ReadHist.Merge(tl.readHist)
-		res.WriteHist.Merge(tl.writeHist)
 		res.ReadsOK += tl.readsOK
 		res.WritesOK += tl.writesOK
 		res.ReadsFailed += tl.readsFailed

@@ -143,13 +143,13 @@ func TestCoordinatedOmissionStallRaisesP99(t *testing.T) {
 	// latencies must reflect most of it. Demand at least half the stall —
 	// generous against scheduler jitter, far above the sub-millisecond
 	// latencies a coordinated-omission-blind harness would report.
-	if p99 := res.ReadHist.Quantile(0.99); p99 < int64(stall)/2 {
+	if p99 := res.ReadHist.Quantile(0.99); p99 < float64(stall)/2 {
 		t.Fatalf("p99 = %v after a %v stall — coordinated omission is back",
 			time.Duration(p99), stall)
 	}
 	// ~40% of requests queued behind the stall with latencies spread
 	// uniformly up to its length, so p90 lands well inside that tail.
-	if p90 := res.ReadHist.Quantile(0.90); p90 < int64(stall)/4 {
+	if p90 := res.ReadHist.Quantile(0.90); p90 < float64(stall)/4 {
 		t.Fatalf("p90 = %v after a %v stall — queue delay not measured",
 			time.Duration(p90), stall)
 	}

@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -153,65 +154,45 @@ func (s *SLO) HasNonLatency() bool {
 // external quantile source — fn returns the measured quantile in
 // nanoseconds for op "read" or "write" — so a tool holding only
 // drp_net_request_seconds histograms can reuse the same gate grammar.
-// Unprefixed terms take the worse of the two ops; err/tput terms fail
-// (callers reject them up front via HasNonLatency).
-func (s *SLO) EvalQuantiles(fn func(op string, p float64) int64) SLOResult {
-	if s == nil {
-		return SLOResult{Pass: true}
-	}
-	out := SLOResult{Expr: s.Expr, Pass: true}
-	for _, t := range s.terms {
-		tr := TermResult{Term: t.raw}
-		if t.kind == "latency" {
-			var ns int64
-			switch t.op {
-			case "read", "write":
-				ns = fn(t.op, t.quantile)
-			default:
-				ns = fn("read", t.quantile)
-				if w := fn("write", t.quantile); w > ns {
-					ns = w
-				}
-			}
-			tr.Actual = float64(ns) / 1e6
-			tr.Bound = t.bound / 1e6
-			tr.Pass = float64(ns) < t.bound
-		}
-		if !tr.Pass {
-			out.Pass = false
-		}
-		out.Terms = append(out.Terms, tr)
-	}
-	return out
+// err/tput terms fail (callers reject them up front via HasNonLatency).
+func (s *SLO) EvalQuantiles(fn func(op string, p float64) float64) SLOResult {
+	return s.eval(nil, fn)
 }
 
 // Eval checks every term against the result. A nil SLO passes vacuously
 // with no terms.
 func (s *SLO) Eval(res *Result) SLOResult {
+	return s.eval(res, func(op string, p float64) float64 {
+		if op == "write" {
+			return res.WriteHist.Quantile(p)
+		}
+		return res.ReadHist.Quantile(p)
+	})
+}
+
+// eval checks latency terms against q (unprefixed terms take the worse
+// of the two ops) and err/tput terms against res, failing them when res
+// is nil.
+func (s *SLO) eval(res *Result, q func(op string, p float64) float64) SLOResult {
 	if s == nil {
 		return SLOResult{Pass: true}
 	}
 	out := SLOResult{Expr: s.Expr, Pass: true}
 	for _, t := range s.terms {
 		tr := TermResult{Term: t.raw}
-		switch t.kind {
-		case "latency":
-			var ns int64
-			switch t.op {
-			case "read":
-				ns = res.ReadHist.Quantile(t.quantile)
-			case "write":
-				ns = res.WriteHist.Quantile(t.quantile)
-			default:
-				ns = res.ReadHist.Quantile(t.quantile)
-				if w := res.WriteHist.Quantile(t.quantile); w > ns {
-					ns = w
-				}
+		switch {
+		case t.kind == "latency":
+			var ns float64
+			if t.op == "" {
+				ns = math.Max(q("read", t.quantile), q("write", t.quantile))
+			} else {
+				ns = q(t.op, t.quantile)
 			}
-			tr.Actual = float64(ns) / 1e6
+			tr.Actual = ns / 1e6
 			tr.Bound = t.bound / 1e6
-			tr.Pass = float64(ns) < t.bound
-		case "err":
+			tr.Pass = ns < t.bound
+		case res == nil: // err/tput need the runner's own accounting
+		case t.kind == "err":
 			total := res.Requests()
 			frac := 0.0
 			if total > 0 {
@@ -219,7 +200,7 @@ func (s *SLO) Eval(res *Result) SLOResult {
 			}
 			tr.Actual, tr.Bound = frac, t.bound
 			tr.Pass = frac < t.bound || (t.bound == 0 && frac == 0)
-		case "tput":
+		case t.kind == "tput":
 			ratio := 0.0
 			if res.Offered > 0 {
 				ratio = res.Achieved / res.Offered

@@ -4,18 +4,20 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"drp/internal/metrics"
 )
 
 // resultWithLatencies builds a result whose read/write histograms hold
 // the given millisecond samples.
 func resultWithLatencies(readMS, writeMS []int64, failed, queued, unexplained int64) *Result {
-	res := &Result{ReadHist: NewHist(), WriteHist: NewHist()}
+	res := &Result{ReadHist: metrics.NewHistogram(), WriteHist: metrics.NewHistogram()}
 	for _, ms := range readMS {
-		res.ReadHist.Record(ms * int64(time.Millisecond))
+		res.ReadHist.Observe(float64(ms * int64(time.Millisecond)))
 		res.ReadsOK++
 	}
 	for _, ms := range writeMS {
-		res.WriteHist.Record(ms * int64(time.Millisecond))
+		res.WriteHist.Observe(float64(ms * int64(time.Millisecond)))
 		res.WritesOK++
 	}
 	res.ReadsFailed = failed

@@ -1,6 +1,6 @@
 // Package metrics is the repository's zero-dependency telemetry layer: a
 // concurrency-safe registry of named instruments (monotonic counters,
-// last-value gauges, fixed-bound histograms) with Prometheus text-format
+// last-value gauges, log-linear histograms) with Prometheus text-format
 // exposition, expvar publication, deterministic JSON snapshots, a JSONL
 // structured-event sink and a bridge from the solver runtime's progress
 // events.
@@ -69,12 +69,14 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increments the gauge by d (CAS loop; gauges may go down).
-func (g *Gauge) Add(d float64) {
+// Add increments the gauge by d (gauges may go down).
+func (g *Gauge) Add(d float64) { addFloat(&g.bits, d) }
+
+// addFloat adds d to the float64 stored as bits, by CAS loop.
+func addFloat(bits *atomic.Uint64, d float64) {
 	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
+		old := bits.Load()
+		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
 			return
 		}
 	}
@@ -83,87 +85,11 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed buckets with ascending upper
-// bounds (an implicit +Inf bucket catches the rest), tracking count and sum.
-// Safe for concurrent use.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	idx := sort.SearchFloat64s(h.bounds, v) // first bound with v <= bound
-	h.counts[idx].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the histogram's upper bucket bounds (without +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
-// Quantile estimates the p-quantile (p in [0,1]) of the observed values by
-// linear interpolation inside the containing bucket. Mass in the +Inf
-// bucket clamps to the highest finite bound — the estimate never invents
-// values beyond the ladder — and an empty histogram reports 0. Concurrent
-// observers may move individual buckets mid-read; like Prometheus's
-// histogram_quantile, the estimate is only as consistent as the scrape.
-func (h *Histogram) Quantile(p float64) float64 {
-	cum := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-		cum[i] = total
-	}
-	return bucketQuantile(h.bounds, cum, p)
-}
-
-// bucketQuantile interpolates the p-quantile from cumulative bucket counts.
-// cum has len(bounds)+1 entries; the last is the +Inf bucket. The first
-// finite bucket interpolates from a lower edge of 0, matching the
-// all-positive ladders ExponentialBuckets builds.
-func bucketQuantile(bounds []float64, cum []uint64, p float64) float64 {
-	if len(cum) == 0 || cum[len(cum)-1] == 0 || len(bounds) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	rank := p * float64(cum[len(cum)-1])
-	idx := sort.Search(len(cum), func(i int) bool { return float64(cum[i]) >= rank })
-	if idx >= len(bounds) {
-		return bounds[len(bounds)-1]
-	}
-	lo, below := 0.0, uint64(0)
-	if idx > 0 {
-		lo, below = bounds[idx-1], cum[idx-1]
-	}
-	in := cum[idx] - below
-	if in == 0 {
-		return bounds[idx]
-	}
-	return lo + (bounds[idx]-lo)*(rank-float64(below))/float64(in)
-}
-
 // ExponentialBuckets returns count ascending bounds start, start·factor,
-// start·factor², … — the fixed exponential ladders every histogram in this
-// repository uses. start must be positive and factor > 1.
+// start·factor², … — the Prometheus le ladders every histogram family in
+// this repository renders. start must be positive and factor > 1; a
+// registered ladder must also consist of bucket edges (see
+// Registry.Histogram), which powers of two times short mantissas are.
 func ExponentialBuckets(start, factor float64, count int) []float64 {
 	if start <= 0 || factor <= 1 || count < 1 {
 		panic(fmt.Sprintf("metrics: bad exponential buckets (start=%v factor=%v count=%d)", start, factor, count))
@@ -177,9 +103,9 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	return out
 }
 
-// LatencyBuckets spans 100µs .. ~3.3s in doublings — request latencies and
-// adaptation wall times in seconds.
-func LatencyBuckets() []float64 { return ExponentialBuckets(100e-6, 2, 16) }
+// LatencyBuckets spans 2^-13 s (≈122µs) .. 4s in doublings — request
+// latencies and adaptation wall times in seconds.
+func LatencyBuckets() []float64 { return ExponentialBuckets(math.Ldexp(1, -13), 2, 16) }
 
 // CostBuckets spans 1 .. ~2.7e11 NTC units in powers of four — per-request
 // transfer costs and best-so-far scheme costs.
@@ -196,6 +122,7 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
+	bounds  []float64 // hist's le ladder, for exposition only
 }
 
 // Registry holds named instruments. Instrument getters are get-or-create:
@@ -227,8 +154,11 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 }
 
 // Histogram returns the histogram registered under name+labels, creating it
-// with the given bucket bounds on first use. Later calls may pass nil
-// bounds; non-nil bounds that disagree with the registered ones panic.
+// on first use with bounds as the family's le ladder. The ladder only
+// shapes exposition — Prometheus and snapshot buckets are rendered from the
+// histogram's log-linear counts — so every bound must be a bucket edge
+// (counts at an edge are exact). Later calls may pass nil bounds; non-nil
+// bounds that disagree with the registered ones panic.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -237,7 +167,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 		if e.kind != KindHistogram {
 			panic(fmt.Sprintf("metrics: %s already registered as %s", key, e.kind))
 		}
-		if bounds != nil && !equalBounds(bounds, e.hist.bounds) {
+		if bounds != nil && !equalBounds(bounds, e.bounds) {
 			panic(fmt.Sprintf("metrics: %s re-registered with different bounds", key))
 		}
 		return e.hist
@@ -245,14 +175,16 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 	if len(bounds) == 0 {
 		panic(fmt.Sprintf("metrics: histogram %s needs bucket bounds", key))
 	}
-	if !sort.Float64sAreSorted(bounds) {
-		panic(fmt.Sprintf("metrics: histogram %s bounds not ascending", key))
+	for i, b := range bounds {
+		if i > 0 && b <= bounds[i-1] {
+			panic(fmt.Sprintf("metrics: histogram %s bounds not ascending", key))
+		}
+		if !isEdge(b) {
+			panic(fmt.Sprintf("metrics: histogram %s bound %v is not a bucket edge", key, b))
+		}
 	}
-	h := &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
-	r.register(key, &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: KindHistogram, hist: h})
+	h := NewHistogram()
+	r.register(key, &entry{name: name, help: help, labels: copyLabels(labels), labelStr: renderLabels(labels), kind: KindHistogram, hist: h, bounds: append([]float64(nil), bounds...)})
 	return h
 }
 

@@ -24,9 +24,10 @@ type InstrumentSnapshot struct {
 	// Value carries counters (integral) and gauges.
 	Value float64 `json:"value,omitempty"`
 
-	// Count/Sum/Buckets carry histograms. P50/P99 are the interpolated
-	// quantile estimates at freeze time (see Histogram.Quantile); they are
-	// derived from Buckets, kept for direct consumption.
+	// Count/Sum/Buckets carry histograms; Buckets renders the family's le
+	// ladder. P50/P99 are Histogram.Quantile at freeze time: upper edges of
+	// the log-linear buckets holding the ranked observations, never below
+	// the true quantile and at most 2^-7 above it — finer than Buckets.
 	Count   uint64   `json:"count,omitempty"`
 	Sum     float64  `json:"sum,omitempty"`
 	Buckets []Bucket `json:"buckets,omitempty"`
@@ -55,17 +56,11 @@ func (r *Registry) Snapshot() Snapshot {
 			h := e.hist
 			is.Count = h.Count()
 			is.Sum = h.Sum()
-			var cum uint64
-			is.Buckets = make([]Bucket, len(h.bounds))
-			cumAll := make([]uint64, len(h.bounds)+1)
-			for i, bound := range h.bounds {
-				cum += h.counts[i].Load()
-				is.Buckets[i] = Bucket{LE: bound, Count: cum}
-				cumAll[i] = cum
+			for i, c := range h.cumulative(e.bounds) {
+				is.Buckets = append(is.Buckets, Bucket{LE: e.bounds[i], Count: c})
 			}
-			cumAll[len(h.bounds)] = cum + h.counts[len(h.bounds)].Load()
-			is.P50 = bucketQuantile(h.bounds, cumAll, 0.50)
-			is.P99 = bucketQuantile(h.bounds, cumAll, 0.99)
+			is.P50 = h.Quantile(0.50)
+			is.P99 = h.Quantile(0.99)
 		}
 		out.Instruments = append(out.Instruments, is)
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"drp/internal/metrics"
 )
 
 // TreeSpan is a span linked into its trace tree.
@@ -189,14 +191,7 @@ func rankQuantile(sorted []int64, p float64) int64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[metrics.Rank(p, len(sorted))-1]
 }
 
 // Slowest returns up to n traces ordered by root duration, longest
